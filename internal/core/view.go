@@ -18,7 +18,11 @@ import "time"
 // CriticalPathView, Measure functions) works identically over all three
 // without cloning or materializing anything.
 type TaskView interface {
-	// Tasks returns the live tasks in creation order.
+	// Tasks returns the live tasks in creation order. The result is
+	// valid only until the next Tasks call on the same view: a Patch
+	// reuses the backing array, so a Tasks call nested inside a loop
+	// over an earlier result silently overwrites the slice being
+	// ranged over. Copy it to keep it across calls.
 	Tasks() []*Task
 	// Task returns the live task with the given ID, or nil.
 	Task(id int) *Task

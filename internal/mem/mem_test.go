@@ -148,10 +148,10 @@ func TestProfilePostPassAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiers := []struct {
-		name      string
-		view      core.TaskView
-		simulate  func() (*core.SimResult, error)
-		samePlan  bool // default scheduler, unedited → profile must equal cold's
+		name     string
+		view     core.TaskView
+		simulate func() (*core.SimResult, error)
+		samePlan bool // default scheduler, unedited → profile must equal cold's
 	}{
 		{"cold", g, func() (*core.SimResult, error) { return g.Simulate() }, true},
 		{"overlay", core.NewOverlay(g), nil, true},
@@ -200,20 +200,30 @@ func TestProfilePostPassAcrossTiers(t *testing.T) {
 // materialized clone — same base annotation, same carried scheduler,
 // same measurers.
 func TestProfileCloneVsPatchBitIdentity(t *testing.T) {
-	g := profile(t, "resnet50")
-	ann, err := mem.AnnotationOf(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
-		name string
-		opt  core.Optimization
+		name, model string
+		opt         core.Optimization
 	}{
-		{"vdnn", whatif.OptVDNN(whatif.VDNNOptions{})},
-		{"gist", whatif.OptGist(whatif.GistOptions{})},
+		{"vdnn", "resnet50", whatif.OptVDNN(whatif.VDNNOptions{})},
+		{"gist", "resnet50", whatif.OptGist(whatif.GistOptions{})},
+		{"gist-lossy", "resnet50", whatif.OptGist(whatif.GistOptions{Lossy: true})},
+		{"vdnn-prefetch1", "resnet50", whatif.OptVDNN(whatif.VDNNOptions{PrefetchDistance: 1})},
+		{"densenet121/vdnn", "densenet121", whatif.OptVDNN(whatif.VDNNOptions{})},
+		{"densenet121/gist-lossy", "densenet121", whatif.OptGist(whatif.GistOptions{Lossy: true})},
+		{"gist+vdnn", "resnet50", core.Stack(whatif.OptGist(whatif.GistOptions{}), whatif.OptVDNN(whatif.VDNNOptions{}))},
 	}
+	graphs := map[string]*core.Graph{}
 	for _, tc := range cases {
 		tc := tc
+		g, ok := graphs[tc.model]
+		if !ok {
+			g = profile(t, tc.model)
+			graphs[tc.model] = g
+		}
+		ann, err := mem.AnnotationOf(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			p := core.NewPatch(g)
 			if err := tc.opt.Apply(p); err != nil {
@@ -244,6 +254,9 @@ func TestProfileCloneVsPatchBitIdentity(t *testing.T) {
 			profC, err := mem.ComputeProfile(mg, resC, ann, measurers...)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if resP.Makespan != resC.Makespan {
+				t.Fatalf("patch makespan %v, materialized clone %v", resP.Makespan, resC.Makespan)
 			}
 			if !reflect.DeepEqual(profP, profC) {
 				t.Fatalf("patch profile diverges from materialized-clone profile:\npatch peak %d [%v,%v)\nclone peak %d [%v,%v)",

@@ -52,6 +52,7 @@ func Gist(g *core.Graph, opts GistOptions) error {
 		return fmt.Errorf("whatif: Gist: no element-wise kernels to estimate from")
 	}
 	grads := gradientsByIndex(g)
+	anchors := anchorsOf(g)
 	inserted := 0
 	for _, li := range sortedLayerIndices(grads) {
 		gr := grads[li]
@@ -59,8 +60,8 @@ func Gist(g *core.Graph, opts GistOptions) error {
 		if !isTarget && !(opts.Lossy && gr.Kind != "relu" && gr.ActBytes > 0) {
 			continue
 		}
-		fwdLast := lastFwdGPUTask(g, li)
-		bwdFirst := firstBwdGPUTask(g, li)
+		fwdLast := anchors.lastFwdGPU(li)
+		bwdFirst := anchors.firstBwdGPU(li)
 		if fwdLast == nil || bwdFirst == nil {
 			continue
 		}
@@ -141,8 +142,8 @@ func GistPatch(p *core.Patch, opts GistOptions) error {
 	return gistInto(p.Base(), p, p, opts)
 }
 
-// gistInto reads workload metadata from the baseline g, scans the
-// effective view for anchors, and emits the encode/decode insertions
+// gistInto reads workload metadata from the baseline g, indexes the
+// effective view's anchors once, and emits the encode/decode insertions
 // through ed — the same shape as vdnnInto, so the patch form and an
 // in-place application are bit-equivalent by construction.
 func gistInto(g *core.Graph, view core.TaskView, ed gistEditor, opts GistOptions) error {
@@ -150,14 +151,16 @@ func gistInto(g *core.Graph, view core.TaskView, ed gistEditor, opts GistOptions
 		return err
 	}
 	opts.defaults()
-	est := core.MeanDuration(g.Select(core.And(core.OnGPUPred, core.NameContains("elementwise"))))
+	ix := g.LayerPhaseIndex()
+	est := core.MeanDuration(ix.GPUTasksMatching("elementwise"))
 	if est == 0 {
-		est = core.MeanDuration(g.Select(core.OnGPUPred))
+		est = core.MeanDuration(ix.GPUTasks())
 	}
 	if est == 0 {
 		return fmt.Errorf("whatif: Gist: no GPU kernels to estimate encode/decode durations from")
 	}
 	grads := gradientsByIndex(g)
+	anchors := anchorsOf(view)
 	inserted := 0
 	for _, li := range sortedLayerIndices(grads) {
 		gr := grads[li]
@@ -165,8 +168,8 @@ func gistInto(g *core.Graph, view core.TaskView, ed gistEditor, opts GistOptions
 		if !isTarget && !(opts.Lossy && gr.Kind != "relu" && gr.ActBytes > 0) {
 			continue
 		}
-		fwdLast := lastFwdGPUTask(view, li)
-		bwdFirst := firstBwdGPUTask(view, li)
+		fwdLast := anchors.lastFwdGPU(li)
+		bwdFirst := anchors.firstBwdGPU(li)
 		if fwdLast == nil || bwdFirst == nil {
 			continue
 		}

@@ -74,8 +74,8 @@ func VDNNPatch(p *core.Patch, opts VDNNOptions) error {
 	return vdnnInto(p.Base(), p, p, opts)
 }
 
-// vdnnInto reads workload metadata from the baseline g, scans the
-// effective task view for anchor tasks, and emits Algorithm 10's
+// vdnnInto reads workload metadata from the baseline g, indexes the
+// effective task view's anchor tasks once, and emits Algorithm 10's
 // insertions through ed (the graph itself, or a patch over it). For the
 // in-place form g, view and ed are all the graph.
 func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOptions) error {
@@ -92,14 +92,15 @@ func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOption
 			maxIdx = li
 		}
 	}
+	anchors := anchorsOf(view)
 	inserted := 0
 	for _, li := range layers {
 		gr := grads[li]
 		if !opts.OffloadLayer(gr) || gr.ActBytes == 0 {
 			continue
 		}
-		fwdLast := lastFwdGPUTask(view, li)
-		bwdFirst := firstBwdGPUTask(view, li)
+		fwdLast := anchors.lastFwdGPU(li)
+		bwdFirst := anchors.firstBwdGPU(li)
 		if fwdLast == nil || bwdFirst == nil {
 			continue
 		}
@@ -122,7 +123,7 @@ func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOption
 		}
 		// … nor before backward has progressed close enough (delayed
 		// prefetching policy) …
-		if trigger := firstBwdGPUTask(view, gateIndex(li, opts.PrefetchDistance, maxIdx)); trigger != nil && trigger != bwdFirst {
+		if trigger := anchors.firstBwdGPU(gateIndex(li, opts.PrefetchDistance, maxIdx)); trigger != nil && trigger != bwdFirst {
 			if err := ed.AddDependency(trigger, prefetch, core.DepCustom); err != nil {
 				return err
 			}
@@ -252,32 +253,60 @@ func gateIndex(li, distance, maxIdx int) int {
 	return g
 }
 
-// lastFwdGPUTask returns the layer's last forward GPU task live in the
-// view (removed tasks of a structural patch are excluded).
-func lastFwdGPUTask(v core.TaskView, layerIndex int) *core.Task {
-	var best *core.Task
-	for _, t := range v.Tasks() {
-		if !t.OnGPU() || !t.HasLayer || t.Phase != trace.Forward || t.LayerIndex != layerIndex {
-			continue
-		}
-		if best == nil || t.TracedStart > best.TracedStart {
-			best = t
-		}
-	}
-	return best
+// layerAnchors indexes, per layer index, the tasks Algorithms 10 and 11
+// splice around as live in a view: the layer's last forward GPU task
+// (largest TracedStart) and its first backward GPU task (smallest
+// TracedStart). Ties go to the first task in Tasks() order.
+type layerAnchors struct {
+	lastFwd, firstBwd []*core.Task
 }
 
-// firstBwdGPUTask returns the layer's first backward GPU task live in
-// the view.
-func firstBwdGPUTask(v core.TaskView, layerIndex int) *core.Task {
-	var best *core.Task
-	for _, t := range v.Tasks() {
-		if !t.OnGPU() || !t.HasLayer || t.Phase != trace.Backward || t.LayerIndex != layerIndex {
-			continue
-		}
-		if best == nil || t.TracedStart < best.TracedStart {
-			best = t
+// anchorsOf builds the view's layer anchors from a single Tasks() call,
+// so an apply costs O(tasks) rather than O(layers × tasks). The vDNN and
+// Gist bodies build it once, from the effective view before any edit:
+// none of their insertions can become the anchor of a later lookup —
+// vDNN's copies are not GPU tasks, and Gist's encode/decode pair carries
+// only the layer being processed, each layer visited once in ascending
+// order.
+func anchorsOf(v core.TaskView) layerAnchors {
+	tasks := v.Tasks()
+	n := 0
+	for _, t := range tasks {
+		if t.OnGPU() && t.HasLayer && t.LayerIndex >= n {
+			n = t.LayerIndex + 1
 		}
 	}
-	return best
+	a := layerAnchors{lastFwd: make([]*core.Task, n), firstBwd: make([]*core.Task, n)}
+	for _, t := range tasks {
+		if !t.OnGPU() || !t.HasLayer || t.LayerIndex < 0 {
+			continue
+		}
+		switch t.Phase {
+		case trace.Forward:
+			if cur := a.lastFwd[t.LayerIndex]; cur == nil || t.TracedStart > cur.TracedStart {
+				a.lastFwd[t.LayerIndex] = t
+			}
+		case trace.Backward:
+			if cur := a.firstBwd[t.LayerIndex]; cur == nil || t.TracedStart < cur.TracedStart {
+				a.firstBwd[t.LayerIndex] = t
+			}
+		}
+	}
+	return a
+}
+
+// lastFwdGPU returns the layer's last forward GPU task, or nil.
+func (a layerAnchors) lastFwdGPU(layerIndex int) *core.Task {
+	if layerIndex < 0 || layerIndex >= len(a.lastFwd) {
+		return nil
+	}
+	return a.lastFwd[layerIndex]
+}
+
+// firstBwdGPU returns the layer's first backward GPU task, or nil.
+func (a layerAnchors) firstBwdGPU(layerIndex int) *core.Task {
+	if layerIndex < 0 || layerIndex >= len(a.firstBwd) {
+		return nil
+	}
+	return a.firstBwd[layerIndex]
 }
