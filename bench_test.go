@@ -138,7 +138,8 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
-// BenchmarkAMPTransform measures the Algorithm-3 transformation alone.
+// BenchmarkAMPTransform measures the Algorithm-3 transformation alone,
+// applied to a private clone the way the sweep's clone tier does.
 func BenchmarkAMPTransform(b *testing.B) {
 	tr, err := daydream.Collect(daydream.CollectConfig{Model: "bert-large"})
 	if err != nil {
@@ -148,11 +149,13 @@ func BenchmarkAMPTransform(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	amp := daydream.OptAMP()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := g.Clone()
-		daydream.AMP(c)
+		if _, err := core.ApplyOptimization(g.Clone(), amp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -177,12 +180,15 @@ func benchGraph(b *testing.B) *daydream.Graph {
 // is the baseline the overlay path is compared against.
 func BenchmarkScenarioClonePath(b *testing.B) {
 	g := benchGraph(b)
+	amp := daydream.OptAMP()
 	scratch := core.NewSimScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := g.Clone()
-		daydream.AMP(c)
+		c, err := core.ApplyOptimization(g.Clone(), amp)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := c.Simulate(core.WithScratch(scratch)); err != nil {
 			b.Fatal(err)
 		}
@@ -190,20 +196,24 @@ func BenchmarkScenarioClonePath(b *testing.B) {
 }
 
 // BenchmarkScenarioOverlayPath measures the same scenario through the
-// clone-free copy-on-write path: reset a worker-owned overlay, record
-// the Algorithm-3 deltas, simulate through them into a reusable result
-// buffer. The acceptance bar is ≥3× over BenchmarkScenarioClonePath.
+// clone-free copy-on-write path: reset a worker-owned patch, record
+// the Algorithm-3 deltas in its overlay tier, simulate through them
+// into a reusable result buffer. The acceptance bar is ≥3× over
+// BenchmarkScenarioClonePath.
 func BenchmarkScenarioOverlayPath(b *testing.B) {
 	g := benchGraph(b)
+	amp := daydream.OptAMP()
 	scratch := core.NewSimScratch()
-	o := daydream.NewOverlay(g)
+	p := daydream.NewPatch(g)
 	buf := &daydream.SimResult{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Reset(g)
-		daydream.AMPOverlay(o)
-		if _, err := o.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
+		p.Reset(g)
+		if err := amp.Apply(p); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,10 +232,7 @@ func BenchmarkSweepOverlay64(b *testing.B) {
 	for i := range scenarios {
 		scenarios[i] = daydream.Scenario{
 			Name: fmt.Sprintf("amp%d", i),
-			ScaleTransform: func(o *daydream.Overlay) error {
-				daydream.AMPOverlay(o)
-				return nil
-			},
+			Opt:  daydream.OptAMP(),
 		}
 	}
 	b.ReportAllocs()
@@ -246,8 +253,7 @@ func BenchmarkSweepClone64(b *testing.B) {
 		scenarios[i] = daydream.Scenario{
 			Name: fmt.Sprintf("amp%d", i),
 			Transform: func(c *daydream.Graph) (*daydream.Graph, error) {
-				daydream.AMP(c)
-				return c, nil
+				return core.ApplyOptimization(c, daydream.OptAMP())
 			},
 		}
 	}

@@ -269,32 +269,42 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 				g.Clone()
 			}
 		}},
+		// The clone tier's real path: Algorithm-3 AMP applied to a
+		// private clone through core.ApplyOptimization.
 		{"AMPTransform", 0, func(b *testing.B) {
+			amp := daydream.OptAMP()
 			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				daydream.AMP(c)
+				if _, err := core.ApplyOptimization(g.Clone(), amp); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		// One duration-only scenario (Algorithm-3 AMP) end to end on
 		// both evaluation paths — the clone-vs-overlay headline.
 		{"CloneScenario", 0, func(b *testing.B) {
+			amp := daydream.OptAMP()
 			scratch := core.NewSimScratch()
 			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				daydream.AMP(c)
+				c, err := core.ApplyOptimization(g.Clone(), amp)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, err := c.Simulate(core.WithScratch(scratch)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"OverlayScenario", 0, func(b *testing.B) {
+			amp := daydream.OptAMP()
 			scratch := core.NewSimScratch()
-			o := daydream.NewOverlay(g)
+			p := daydream.NewPatch(g)
 			buf := &daydream.SimResult{}
 			for i := 0; i < b.N; i++ {
-				o.Reset(g)
-				daydream.AMPOverlay(o)
-				if _, err := o.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
+				p.Reset(g)
+				if err := amp.Apply(p); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -323,19 +333,19 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			}
 		}},
 		// A composed what-if (AMP+FusedAdam as one Stack value) end to
-		// end through one overlay — the trajectory gate's eye on the
-		// stacked clone-free path.
+		// end through one reused patch — the trajectory gate's eye on
+		// the stacked clone-free path.
 		{"StackedOverlayScenario", 0, func(b *testing.B) {
 			stacked := daydream.Stack(daydream.OptAMP(), daydream.OptFusedAdam())
 			scratch := core.NewSimScratch()
-			o := daydream.NewOverlay(g)
+			p := daydream.NewPatch(g)
 			buf := &daydream.SimResult{}
 			for i := 0; i < b.N; i++ {
-				o.Reset(g)
-				if err := core.ApplyOverlay(stacked, o); err != nil {
+				p.Reset(g)
+				if err := stacked.Apply(p); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := o.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
+				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -344,11 +354,11 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		// 10Gbps) end to end on both evaluation paths — the
 		// clone-vs-patch headline for structural what-ifs.
 		{"StructuralCloneScenario", 0, func(b *testing.B) {
-			topo := daydream.NewTopology(4, 2, 10)
+			opt := daydream.OptDistributed(daydream.NewTopology(4, 2, 10))
 			scratch := core.NewSimScratch()
 			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				if err := daydream.Distributed(c, topo); err != nil {
+				c, err := core.ApplyOptimization(g.Clone(), opt)
+				if err != nil {
 					b.Fatal(err)
 				}
 				if _, err := c.Simulate(core.WithScratch(scratch)); err != nil {
@@ -378,11 +388,11 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		// private clone per scenario; now it runs the slice-frontier
 		// policy directly over the composite view.
 		{"ScheduledCloneScenario", 0, func(b *testing.B) {
-			topo := daydream.NewTopology(4, 2, 10)
+			opt := daydream.OptDistributed(daydream.NewTopology(4, 2, 10))
 			scratch := core.NewSimScratch()
 			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				if err := daydream.Distributed(c, topo); err != nil {
+				c, err := core.ApplyOptimization(g.Clone(), opt)
+				if err != nil {
 					b.Fatal(err)
 				}
 				if _, err := c.Simulate(core.WithScratch(scratch), core.WithScheduler(benchSched{})); err != nil {

@@ -45,9 +45,6 @@ type (
 	Scheduler = core.Scheduler
 	// SchedContext is the read surface a Scheduler picks through.
 	SchedContext = core.SchedContext
-	// LegacyScheduler is the pre-TaskView scheduler contract
-	// (Pick(frontier, effStart) *Task); wrap values with AdaptScheduler.
-	LegacyScheduler = core.LegacyScheduler
 	// EarliestStart is the default scheduling policy.
 	EarliestStart = core.EarliestStart
 	// SimOption configures a simulation (WithScheduler, …).
@@ -98,7 +95,7 @@ type (
 	// touches — a fast-path hint and display label: TimingOnly values
 	// write only the Patch's Overlay timing tier, Structural ones
 	// record structural deltas too. Neither clones; only
-	// graph-replacing rewrites and legacy in-place transforms do.
+	// graph-replacing rewrites (OptP3) do.
 	OptFootprint = core.OptFootprint
 	// OptimizationSpec describes one entry of the optimization
 	// registry (see Optimizations).
@@ -138,11 +135,10 @@ func Sweep(baseline *Graph, scenarios []Scenario, opts ...SweepOption) ([]SweepR
 }
 
 // NewOverlay returns an empty copy-on-write timing overlay over the
-// baseline graph. Duration-only what-ifs (AMPOverlay, FusedAdamOverlay,
-// DeviceUpgradeOverlay, ApplyKernelProfileOverlay, custom
-// SetDuration/SetGap/SetPriority edits) apply through it and simulate
-// with Overlay.Simulate — no clone, and any number of overlays may
-// share one baseline concurrently as long as nothing mutates it.
+// baseline graph. Custom duration-only edits (SetDuration/SetGap/
+// SetPriority, or a TimingOptimization's function) apply through it and
+// simulate with Overlay.Simulate — no clone, and any number of overlays
+// may share one baseline concurrently as long as nothing mutates it.
 func NewOverlay(g *Graph) *Overlay { return core.NewOverlay(g) }
 
 // WithScheduler overrides the default earliest-start scheduling policy
@@ -151,15 +147,6 @@ func NewOverlay(g *Graph) *Overlay { return core.NewOverlay(g) }
 // view-generic: the same policy runs clone-free over a structural
 // Patch, bit-identical to scheduling the materialized graph.
 func WithScheduler(s Scheduler) SimOption { return core.WithScheduler(s) }
-
-// AdaptScheduler wraps a pre-TaskView scheduler (the legacy
-// Pick(frontier, effStart) *Task contract) as a view-generic Scheduler.
-// Adapted policies read raw Task fields, so simulations whose view
-// overlays state those fields cannot see — priorities on an Overlay,
-// any timing or priority overlay on a structural Patch — reject them
-// loudly; migrate field-reading policies to the native
-// Pick(frontier, ctx) int form.
-func AdaptScheduler(s LegacyScheduler) Scheduler { return core.AdaptScheduler(s) }
 
 // NewPatch returns an empty copy-on-write patch over the baseline
 // graph: the unified what-if application surface. Timing edits ride the
@@ -521,8 +508,10 @@ type PipelineOptions = whatif.PipelineOptions
 func OptPipeline(opts PipelineOptions) Optimization { return whatif.OptPipeline(opts) }
 
 // OptDeviceUpgrade returns the device-upgrade what-if as an Optimization
-// value. Names resolve like DeviceUpgrade's: short presets and full
-// marketing names.
+// value: compute-bound kernels scale by the FLOPS ratio, memory-bound
+// ones by the bandwidth ratio, copies by the PCIe ratio. from must
+// match the device the trace was collected on; names are the device
+// presets plus full marketing names.
 func OptDeviceUpgrade(from, to string) (Optimization, error) {
 	f, err := deviceByAnyName(from)
 	if err != nil {
@@ -573,15 +562,6 @@ func PatchOptimization(name string, fp OptFootprint, apply func(*Patch) error) O
 	return core.PatchOpt(name, fp, apply, nil)
 }
 
-// StructuralOptimization builds a custom structural Optimization from a
-// legacy in-place graph transformation. The arbitrary mutation cannot
-// be expressed as patch deltas, so evaluation hands the value a private
-// clone; prefer PatchOptimization for structural what-ifs that should
-// ride the clone-free patch path.
-func StructuralOptimization(name string, apply func(*Graph) error) Optimization {
-	return core.StructuralOpt(name, apply)
-}
-
 // Optimizations returns the registry of every built-in optimization
 // model — name, summary, footprint, and a constructor taking
 // OptimizationParams. The CLIs generate their -opt help and accepted
@@ -602,44 +582,6 @@ func ParseOptimization(expr string, p OptimizationParams) (Optimization, error) 
 	return whatif.ParseStack(expr, p)
 }
 
-// What-if transformations (paper §5), retained as the free-function
-// form of the Optimization values above. Each mutates the graph in
-// place; clone first to keep the baseline:
-//
-//	pred := g.Clone()
-//	daydream.AMP(pred)
-
-// AMP models automatic mixed precision (Algorithm 3).
-func AMP(g *Graph) { whatif.AMP(g) }
-
-// AMPOverlay is AMP's clone-free form: the same Algorithm-3 scaling
-// recorded as copy-on-write deltas over the shared baseline.
-func AMPOverlay(o *Overlay) { whatif.AMPOverlay(o) }
-
-// FusedAdam models Apex's fused Adam optimizer (Algorithm 4).
-func FusedAdam(g *Graph) error { return whatif.FusedAdam(g) }
-
-// FusedAdamOverlay is FusedAdam's clone-free form: superseded
-// weight-update kernels and their launches drop to zero time instead of
-// being removed, which simulates identically.
-func FusedAdamOverlay(o *Overlay) error { return whatif.FusedAdamOverlay(o) }
-
-// ReconBatchnorm models batchnorm restructuring (Algorithm 5).
-func ReconBatchnorm(g *Graph) error {
-	return whatif.ReconBatchnorm(g, whatif.ReconBatchnormOptions{})
-}
-
-// ReconBatchnormOverlay is ReconBatchnorm's clone-free form.
-func ReconBatchnormOverlay(o *Overlay) error {
-	return whatif.ReconBatchnormOverlay(o, whatif.ReconBatchnormOptions{})
-}
-
-// Distributed predicts data-parallel training from a single-GPU profile
-// (Algorithm 6).
-func Distributed(g *Graph, topo Topology) error {
-	return whatif.Distributed(g, whatif.DistributedOptions{Topology: topo})
-}
-
 // P3Prediction predicts MXNet parameter-server training with
 // priority-based parameter propagation (Algorithm 7) and returns the
 // steady-state iteration time. sliceBytes == 0 selects P3's default slice
@@ -647,37 +589,6 @@ func Distributed(g *Graph, topo Topology) error {
 // plain FIFO parameter server (Figure 10's "Baseline").
 func P3Prediction(g *Graph, topo Topology, sliceBytes int64) (time.Duration, error) {
 	return predictOptimization(g, OptP3(topo, sliceBytes))
-}
-
-// DeviceUpgrade predicts the effect of moving the workload to a different
-// accelerator: compute-bound kernels scale by the FLOPS ratio,
-// memory-bound ones by the bandwidth ratio, copies by the PCIe ratio.
-// fromName must match the device the trace was collected on; names are
-// the device presets plus full marketing names.
-func DeviceUpgrade(g *Graph, fromName, toName string) error {
-	from, err := deviceByAnyName(fromName)
-	if err != nil {
-		return err
-	}
-	to, err := deviceByAnyName(toName)
-	if err != nil {
-		return err
-	}
-	return whatif.DeviceUpgrade(g, from, to)
-}
-
-// DeviceUpgradeOverlay is DeviceUpgrade's clone-free form, for device
-// grids answered from one shared profile.
-func DeviceUpgradeOverlay(o *Overlay, fromName, toName string) error {
-	from, err := deviceByAnyName(fromName)
-	if err != nil {
-		return err
-	}
-	to, err := deviceByAnyName(toName)
-	if err != nil {
-		return err
-	}
-	return whatif.DeviceUpgradeOverlay(o, from, to)
 }
 
 // deviceByAnyName resolves short preset names and full marketing names
@@ -699,19 +610,6 @@ func DeviceNames() []string { return xpu.DeviceNames() }
 // name substring (paper §7.4: profile a new kernel once, feed the result
 // to Daydream instead of porting the kernel into the framework).
 type KernelProfile = whatif.KernelProfile
-
-// ApplyKernelProfile overwrites matching GPU task durations and returns
-// the number of tasks updated.
-func ApplyKernelProfile(g *Graph, p KernelProfile) int {
-	return whatif.ApplyKernelProfile(g, p)
-}
-
-// ApplyKernelProfileOverlay is ApplyKernelProfile's clone-free form:
-// profiled durations become sparse overlay deltas over the shared
-// baseline.
-func ApplyKernelProfileOverlay(o *Overlay, p KernelProfile) int {
-	return whatif.ApplyKernelProfileOverlay(o, p)
-}
 
 // Footprint is an analytic training-memory estimate.
 type Footprint = dnn.Footprint
@@ -853,14 +751,13 @@ func ByLayer(t *Task) string { return core.ByLayer(t) }
 //     through one copy-on-write Patch over the baseline: timing-only
 //     and patch-form structural optimizations (and Stacks of them)
 //     evaluate clone-free, a value that demands a materialized graph
-//     (a GraphRewriter like OptP3, or a legacy in-place transform)
-//     gets a private clone, and a no-op (an empty Stack) replays the
+//     (a GraphRewriter like OptP3) gets a private clone, and a no-op (an empty Stack) replays the
 //     baseline. An optimization carrying its own metric (OptP3)
 //     reports it instead of the makespan.
 //   - func(*Patch) error — a one-off unified what-if: timing and
 //     structural deltas over the baseline, clone-free.
-//   - func(*Graph) error — the pre-Optimization structural form,
-//     applied to a private clone (retained for compatibility).
+//   - func(*Graph) error — a one-off in-place edit, applied to a
+//     private clone.
 //   - func(*Overlay) error — the duration-only overlay form
 //     (CompareScale's shape).
 //

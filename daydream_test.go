@@ -82,10 +82,7 @@ func TestCompareAMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, pred, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return nil
-	})
+	base, pred, err := daydream.Compare(g, ampInPlace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +112,7 @@ func TestDistributedAPI(t *testing.T) {
 	if topo.TotalGPUs() != 8 {
 		t.Fatal("topology wrong")
 	}
-	base, pred, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		return daydream.Distributed(c, topo)
-	})
+	base, pred, err := daydream.Compare(g, daydream.OptDistributed(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +157,7 @@ func TestFusedAdamAndReconAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, pred, err := daydream.Compare(g, daydream.FusedAdam)
+	base, pred, err := daydream.Compare(g, daydream.OptFusedAdam())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +173,7 @@ func TestFusedAdamAndReconAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, pred, err = daydream.Compare(dg, daydream.ReconBatchnorm)
+	base, pred, err = daydream.Compare(dg, daydream.OptReconBatchnorm())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,9 @@
 // mutating — so no optimization ever needs a clone. The registry
 // (Optimizations, OptimizationByName, ParseOptimization) resolves names
 // and "amp+fusedadam"-style stack expressions (duplicate names are
-// rejected), and TimingOptimization / PatchOptimization /
-// StructuralOptimization build custom values that compose with the
-// built-ins.
+// rejected), and TimingOptimization / PatchOptimization build custom
+// values that compose with the built-ins. Each built-in model is
+// reached through exactly one form, its Opt value.
 //
 // Because a single profile answers arbitrarily many what-if questions,
 // the package is built to make each additional question cheap. The
@@ -59,8 +59,7 @@
 // path and structural edits through masked/appendix arrays. Sweep fans
 // a whole scenario grid out over a worker pool sharing one baseline,
 // with every Opt on the clone-free patch path — only graph-replacing
-// rewriters (OptP3's Repeat form) and legacy in-place transforms get a
-// private clone:
+// rewriters (OptP3's Repeat form) get a private clone:
 //
 //	results, _ := daydream.Sweep(g, []daydream.Scenario{
 //	    {Opt: daydream.OptAMP()},                                  // timing tier
@@ -78,27 +77,20 @@
 // WithScheduler (directly or in a Scenario's SimOptions), or let the
 // optimization carry its own (OptVDNN pairs vDNN's offload/prefetch
 // surgery with its copy-stream policy via core.SchedulerCarrier).
-// Pre-TaskView schedulers (the Pick(frontier, effStart) *Task shape)
-// wrap with AdaptScheduler; since they read raw Task fields, they are
-// rejected where those fields diverge from the view — priority
-// overlays, and any timing overlay on a structural patch — instead of
-// silently diverging.
 // KeepSims consumers diagnose any scenario without materializing:
 // CriticalPath and DiagnoseSim walk the effective adjacency of the
 // TaskView the simulation ran over.
 //
-// Migration from the previous per-path interface: the ApplyOverlay and
-// ApplyGraph methods are now package-level adapters in internal/core
-// synthesized from Apply (core.ApplyOverlay(opt, o) errors if the
-// value records structural deltas; core.ApplyGraph(opt, g)
-// materializes the patch into g), GraphRewriter is unchanged, and
-// Measurer / Scenario.Measure take a read-only TaskView (a *Graph or
-// *Patch) instead of a *Graph. The pre-Optimization API also remains:
-// the free functions (AMP, FusedAdam, Distributed, …), their *Overlay
-// forms, and the func-typed Compare / CompareScale /
-// Scenario.Transform / Scenario.ScaleTransform shapes all still
-// compile and behave identically — they are the same models the values
-// wrap, and Compare additionally accepts a one-off func(*Patch) error.
+// Migration from the previous API: the free-function model twins (AMP,
+// FusedAdam, Distributed, …) and their *Overlay forms, the
+// ApplyOverlay/ApplyGraph adapters, StructuralOptimization and the
+// AdaptScheduler shim are removed — use the Opt values, and
+// core.ApplyOptimization where a real *Graph is needed. GraphRewriter
+// is unchanged, Measurer / Scenario.Measure take a read-only TaskView
+// (a *Graph or *Patch), and the func-typed Compare / CompareScale /
+// Scenario.Transform / Scenario.ScaleTransform shapes remain for
+// one-off custom edits; Compare additionally accepts a one-off
+// func(*Patch) error.
 //
 // See the examples/ directory for complete programs, and cmd/daydream-bench
 // for the harness that regenerates every table and figure of the paper's

@@ -86,8 +86,7 @@ func main() {
 	// 3. What if every element-wise kernel were fused into its producer?
 	// Structural — but still clone-free: the kernels and the launches
 	// that trigger them are removed as copy-on-write patch deltas over
-	// the shared baseline. (StructuralOptimization remains for legacy
-	// in-place transforms, at the cost of a private clone.)
+	// the shared baseline, the same surface every built-in model uses.
 	fused := daydream.PatchOptimization("fuse-pointwise", daydream.Structural,
 		func(p *daydream.Patch) error {
 			for _, t := range p.Base().Select(func(t *daydream.Task) bool {

@@ -9,6 +9,18 @@
 //     Remove and overridable task scheduling (§4.4), and
 //   - the frontier-based runtime simulator of Algorithm 1.
 //
+// # What-if application
+//
+// A what-if is an Optimization value with one application surface,
+// Apply(*Patch): timing edits land in the patch's Overlay tier,
+// structural edits become copy-on-write deltas over the shared
+// baseline. Code that needs a real *Graph applies the same value to a
+// private clone with ApplyOptimization, which routes graph-replacing
+// values (GraphRewriter) through RewriteGraph and materializes every
+// other value's patch into the clone. Custom Schedulers pick through
+// the SchedContext, so a policy reads the effective state of whichever
+// view it runs over.
+//
 // # Simulation tiers
 //
 // One Algorithm-1 semantics, five evaluation tiers, cheapest first.

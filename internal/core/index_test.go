@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"daydream/internal/dnn"
 	"daydream/internal/trace"
 )
 
@@ -81,6 +82,33 @@ func TestLayerPhaseIndexMatchesNaiveScans(t *testing.T) {
 			if got[i] != wu[i] {
 				t.Fatalf("WeightUpdateGPUTasks[%d] = %v, Select = %v", i, got[i], wu[i])
 			}
+		}
+	}
+	// The memoized compute-bound classification that AMP and the
+	// device upgrade read must agree, element by element, with the
+	// Algorithm-3 name rule over Select's GPU tasks on every zoo model.
+	for _, name := range dnn.Names() {
+		zg := modelGraph(t, name)
+		zix := zg.LayerPhaseIndex()
+		gpu, compute := zix.GPUTasks(), zix.GPUComputeBound()
+		sel := zg.Select(OnGPUPred)
+		if len(gpu) != len(sel) || len(compute) != len(sel) {
+			t.Fatalf("%s: GPUTasks %d, GPUComputeBound %d, Select %d", name, len(gpu), len(compute), len(sel))
+		}
+		computeBound := 0
+		for i, u := range sel {
+			if gpu[i] != u {
+				t.Fatalf("%s: GPUTasks[%d] = %v, Select = %v", name, i, gpu[i], u)
+			}
+			if compute[i] != ComputeIntensivePred(u) {
+				t.Fatalf("%s: GPUComputeBound[%d] = %v for %v, name rule says %v", name, i, compute[i], u, !compute[i])
+			}
+			if compute[i] {
+				computeBound++
+			}
+		}
+		if computeBound == 0 {
+			t.Fatalf("%s: no compute-bound GPU task; the comparison is vacuous", name)
 		}
 	}
 }

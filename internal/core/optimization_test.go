@@ -79,22 +79,9 @@ func TestTimingOptAppliesThroughPatchAndAdapters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deprecated overlay adapter: edits land in the caller's overlay.
-	o := NewOverlay(g)
-	if err := ApplyOverlay(opt, o); err != nil {
-		t.Fatal(err)
-	}
-	fromOverlay, err := o.PredictIteration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromOverlay != want {
-		t.Fatalf("overlay adapter %v, patch path %v", fromOverlay, want)
-	}
-
-	// Deprecated in-place adapter, derived from the overlay form.
+	// In-place application, derived from the overlay form.
 	c := g.Clone()
-	if err := ApplyGraph(opt, c); err != nil {
+	if _, err := ApplyOptimization(c, opt); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.PredictIteration()
@@ -106,7 +93,7 @@ func TestTimingOptAppliesThroughPatchAndAdapters(t *testing.T) {
 	}
 	for _, u := range c.Tasks() {
 		if u.OnGPU() && u.Duration != 5*time.Microsecond {
-			t.Fatalf("derived ApplyGraph did not write back: %v", u)
+			t.Fatalf("derived in-place application did not write back: %v", u)
 		}
 	}
 	// The baseline is untouched by every path.
@@ -140,13 +127,13 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ApplyGraph adapter materializes the same deltas in place.
+	// ApplyOptimization materializes the same deltas in place.
 	c := g.Clone()
-	if err := ApplyGraph(opt, c); err != nil {
+	if _, err := ApplyOptimization(c, opt); err != nil {
 		t.Fatal(err)
 	}
 	if c.NumTasks() != g.NumTasks()-1 {
-		t.Fatalf("adapter removed %d tasks, want 1", g.NumTasks()-c.NumTasks())
+		t.Fatalf("in-place application removed %d tasks, want 1", g.NumTasks()-c.NumTasks())
 	}
 	got, err := c.PredictIteration()
 	if err != nil {
@@ -155,36 +142,44 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 	if got != want {
 		t.Fatalf("materialized path %v, patch path %v", got, want)
 	}
-
-	// The overlay adapter refuses structural footprints.
-	if err := ApplyOverlay(opt, NewOverlay(g)); err == nil {
-		t.Fatal("structural optimization applied through an overlay")
-	}
 }
 
-func TestStructuralOptNeedsGraph(t *testing.T) {
-	opt := StructuralOpt("drop-all", func(g *Graph) error { return nil })
-	if opt.Footprint() != Structural {
-		t.Fatalf("footprint = %v", opt.Footprint())
-	}
+// inPlaceOnly is a TimingOpt with no overlay form: it doubles every
+// GPU duration directly on the graph.
+func inPlaceOnly() Optimization {
+	return TimingOpt("double-gpu", nil, func(g *Graph) error {
+		for _, u := range g.Tasks() {
+			if u.OnGPU() {
+				u.Duration *= 2
+			}
+		}
+		return nil
+	})
+}
+
+func TestInPlaceOnlyOptNeedsGraph(t *testing.T) {
+	opt := inPlaceOnly()
 	if !OptNeedsGraph(opt) {
-		t.Fatal("legacy in-place transform does not demand a materialized graph")
-	}
-	if err := ApplyOverlay(opt, NewOverlay(optTestGraph(t, 1))); err == nil {
-		t.Fatal("structural optimization applied through an overlay")
+		t.Fatal("in-place-only transform does not demand a materialized graph")
 	}
 	if err := opt.Apply(NewPatch(optTestGraph(t, 1))); err == nil {
-		t.Fatal("legacy in-place transform applied through a patch")
+		t.Fatal("in-place-only transform applied through a patch")
 	}
-	// ApplyGraph still runs the legacy func directly.
-	if err := ApplyGraph(opt, optTestGraph(t, 1)); err != nil {
+	// ApplyOptimization runs the in-place func directly.
+	g := optTestGraph(t, 1)
+	if _, err := ApplyOptimization(g, opt); err != nil {
 		t.Fatal(err)
+	}
+	for _, u := range g.Tasks() {
+		if u.OnGPU() && u.Duration != 20*time.Microsecond {
+			t.Fatalf("in-place func did not run: %v", u)
+		}
 	}
 }
 
 func TestStackFootprintAndName(t *testing.T) {
 	timing := halveGPU()
-	structural := StructuralOpt("surgery", func(g *Graph) error { return nil })
+	structural := PatchOpt("surgery", Structural, func(*Patch) error { return nil }, nil)
 
 	if fp := Stack(timing, timing).Footprint(); fp != TimingOnly {
 		t.Fatalf("timing-only stack footprint = %v", fp)
@@ -201,12 +196,12 @@ func TestStackFootprintAndName(t *testing.T) {
 		t.Fatalf("flattened stack name = %q", name)
 	}
 	// A stack of patch-capable parts does not demand a graph; one
-	// legacy part moves the whole stack to the clone path.
-	if OptNeedsGraph(Stack(timing, dropFirstKernel())) {
+	// in-place-only part moves the whole stack to the clone path.
+	if OptNeedsGraph(Stack(timing, dropFirstKernel(), structural)) {
 		t.Fatal("patch-capable stack demands a materialized graph")
 	}
-	if !OptNeedsGraph(Stack(timing, structural)) {
-		t.Fatal("stack with a legacy part does not demand a materialized graph")
+	if !OptNeedsGraph(Stack(timing, inPlaceOnly())) {
+		t.Fatal("stack with an in-place-only part does not demand a materialized graph")
 	}
 }
 
@@ -234,12 +229,12 @@ func TestEmptyStackIsNoop(t *testing.T) {
 	if got, _ := p.PredictIteration(); got != want {
 		t.Fatalf("no-op patch changed prediction: %v vs %v", got, want)
 	}
-	c := g.Clone()
-	if err := ApplyGraph(empty, c); err != nil {
+	c, err := ApplyOptimization(g.Clone(), empty)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.PredictIteration(); got != want {
-		t.Fatalf("no-op ApplyGraph changed prediction: %v vs %v", got, want)
+		t.Fatalf("no-op ApplyOptimization changed prediction: %v vs %v", got, want)
 	}
 }
 
@@ -278,10 +273,10 @@ func TestStackMixesTimingAndPatchParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := g.Clone()
-	if err := ApplyGraph(halveGPU(), c); err != nil {
+	if _, err := ApplyOptimization(c, halveGPU()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyGraph(dropFirstKernel(), c); err != nil {
+	if _, err := ApplyOptimization(c, dropFirstKernel()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := c.PredictIteration()
@@ -306,9 +301,6 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 	if !OptNeedsGraph(repeat) {
 		t.Fatal("rewriter does not demand a materialized graph")
 	}
-	if err := ApplyGraph(repeat, g.Clone()); err == nil {
-		t.Fatal("rewriter applied in place")
-	}
 	if err := repeat.Apply(NewPatch(g)); err == nil {
 		t.Fatal("rewriter applied through a patch")
 	}
@@ -326,11 +318,8 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 	}
 
 	// A stack mixing in-place and rewriting parts threads the graph
-	// through, keeps the rewriter's measure, and refuses ApplyGraph.
+	// through and keeps the rewriter's measure.
 	mixed := Stack(halveGPU(), repeat)
-	if err := ApplyGraph(mixed, g.Clone()); err == nil {
-		t.Fatal("stack with a rewriter applied in place")
-	}
 	if OptMeasure(mixed) == nil {
 		t.Fatal("stack lost the rewriter's measure")
 	}
@@ -343,18 +332,23 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 	}
 }
 
-func TestStackOverlayRejectsStructuralPart(t *testing.T) {
-	s := Stack(halveGPU(), StructuralOpt("surgery", func(g *Graph) error { return nil }))
-	if err := ApplyOverlay(s, NewOverlay(optTestGraph(t, 1))); err == nil {
-		t.Fatal("structural stack applied through an overlay")
+// TestStackPatchRejectsGraphPart checks a stack refuses to apply
+// through a Patch when a part demands a materialized graph, pointing
+// the caller at ApplyOptimization, which applies the same stack.
+func TestStackPatchRejectsGraphPart(t *testing.T) {
+	g := optTestGraph(t, 2)
+	s := Stack(halveGPU(), inPlaceOnly())
+	err := s.Apply(NewPatch(g))
+	if err == nil || !strings.Contains(err.Error(), "ApplyOptimization") {
+		t.Fatalf("stack with an in-place-only part applied through a patch: %v", err)
 	}
-	// A timing-only Apply that sneaks structural deltas in is also
-	// rejected by the overlay adapter.
-	sneaky := PatchOpt("sneaky", TimingOnly, func(p *Patch) error {
-		p.NewTask("x", trace.KindKernel, Stream(1), time.Microsecond)
-		return nil
-	}, nil)
-	if err := ApplyOverlay(sneaky, NewOverlay(optTestGraph(t, 1))); err == nil {
-		t.Fatal("structural deltas leaked through the overlay adapter")
+	c, err := ApplyOptimization(g.Clone(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range c.Tasks() {
+		if u.OnGPU() && u.Duration != 10*time.Microsecond {
+			t.Fatalf("halve then double left %v", u)
+		}
 	}
 }

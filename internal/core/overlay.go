@@ -41,13 +41,8 @@ type Overlay struct {
 	prio  []int
 
 	// prioEdited records whether any priority was overlaid; when false
-	// the simulation reads Task.Priority directly. timingEdited records
-	// whether any duration or gap was overlaid — the structural patch
-	// path uses it to reject legacy (AdaptScheduler-wrapped) policies,
-	// which read raw Task fields and would silently see baseline
-	// timings where the pre-view fallback materialized effective ones.
-	prioEdited   bool
-	timingEdited bool
+	// the simulation reads Task.Priority directly.
+	prioEdited bool
 
 	// gen counts timing edits (and rebinds); consumers that memoize
 	// state derived from the overlay's effective values — a Patch's
@@ -106,7 +101,6 @@ func (o *Overlay) Reset(g *Graph) {
 	}
 	o.base = g
 	o.prioEdited = false
-	o.timingEdited = false
 	o.gen++
 	for id := range o.sparse {
 		delete(o.sparse, id)
@@ -260,7 +254,6 @@ func (o *Overlay) Priority(t *Task) int {
 // baseline.
 func (o *Overlay) SetDuration(t *Task, d time.Duration) {
 	o.gen++
-	o.timingEdited = true
 	if o.dense {
 		o.dur[t.ID] = d
 		return
@@ -279,7 +272,6 @@ func (o *Overlay) SetDuration(t *Task, d time.Duration) {
 // SetGap overrides the task's gap without touching the baseline.
 func (o *Overlay) SetGap(t *Task, d time.Duration) {
 	o.gen++
-	o.timingEdited = true
 	if o.dense {
 		o.gap[t.ID] = d
 		return
@@ -298,10 +290,7 @@ func (o *Overlay) SetGap(t *Task, d time.Duration) {
 // SetPriority overrides the task's scheduling priority without touching
 // the baseline. Priority overlays drive the default earliest-start
 // scheduler's tie-breaking exactly as mutated priorities would, and a
-// view-generic custom Scheduler sees them through SchedContext.Priority.
-// Only a legacy scheduler wrapped with AdaptScheduler — which reads
-// Task.Priority from the shared baseline — cannot, so Simulate rejects
-// that combination.
+// custom Scheduler sees them through SchedContext.Priority.
 func (o *Overlay) SetPriority(t *Task, p int) {
 	o.prioEdited = true
 	o.gen++
@@ -446,9 +435,6 @@ func (o *Overlay) Simulate(opts ...SimOption) (*SimResult, error) {
 	}
 	o.fillTiming(dur, gap)
 	if s := customScheduler(so.scheduler); s != nil {
-		if o.prioEdited && isLegacySched(s) {
-			return nil, fmt.Errorf("core: Overlay.Simulate: priority overlays are invisible to a legacy Scheduler (AdaptScheduler reads Task.Priority from the shared baseline); migrate the policy to the view-generic Pick(frontier, ctx) contract")
-		}
 		return simulateScheduled(o, s, scratch, res, so.ctx)
 	}
 	var prio []int

@@ -39,8 +39,8 @@ import (
 // across the model zoo.
 //
 // A Patch additionally journals its structural operations, so
-// Materialize (and the ApplyGraph adapter) can replay them onto a
-// private graph for legacy callers that need a real *Graph.
+// Materialize (and ApplyOptimization) can replay them onto a private
+// graph for callers that need a real *Graph.
 //
 // A Patch is not safe for concurrent use; the sharing model is one
 // patch per goroutine over one shared baseline (the sweep worker pool
@@ -128,28 +128,14 @@ const (
 
 // NewPatch returns an empty patch over the baseline graph.
 func NewPatch(g *Graph) *Patch {
-	p := &Patch{timing: NewOverlay(g)}
-	p.init(g)
-	return p
-}
-
-// patchOverOverlay wraps a caller-owned overlay as a patch's timing
-// tier, so the ApplyOverlay adapter lands edits in the caller's overlay.
-func patchOverOverlay(o *Overlay) *Patch {
-	p := &Patch{timing: o}
-	p.init(o.Base())
-	return p
-}
-
-func (p *Patch) init(g *Graph) {
-	p.base = g
+	return &Patch{base: g, timing: NewOverlay(g)}
 }
 
 // ensureStructural lazily allocates the structural delta maps on the
 // first structural mutator call. A pure-timing patch (the common case
-// for the ApplyOverlay adapter and timing-only sweeps) therefore never
-// allocates them; every read path tolerates the nil maps (nil-map
-// reads, ranges and clears are all no-ops in Go).
+// for timing-only sweeps) therefore never allocates them; every read
+// path tolerates the nil maps (nil-map reads, ranges and clears are all
+// no-ops in Go).
 func (p *Patch) ensureStructural() {
 	if p.removed != nil {
 		return
@@ -763,9 +749,7 @@ func growEdgeLists(s [][]patchEdge, n int) [][]patchEdge {
 // Custom Schedulers run directly over the composite view too: the
 // slice-frontier scheduled path reads effective timings, priorities and
 // adjacency through the patch, so vDNN-style scheduling policies on a
-// structural patch are just as clone-free as the default policy (only a
-// legacy AdaptScheduler-wrapped policy, which reads raw Task fields, is
-// rejected when the timing tier overlays priorities).
+// structural patch are just as clone-free as the default policy.
 func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 	if !p.Structural() {
 		return p.timing.Simulate(opts...)
@@ -820,9 +804,6 @@ func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 		gap[baseSpan+i] = t.Gap
 	}
 	if s := customScheduler(so.scheduler); s != nil {
-		if (o.prioEdited || o.timingEdited) && isLegacySched(s) {
-			return nil, fmt.Errorf("core: Patch.Simulate: timing/priority overlays are invisible to a legacy Scheduler (AdaptScheduler reads raw Task fields from the shared baseline, where the old materialized fallback carried effective values); migrate the policy to the view-generic Pick(frontier, ctx) contract")
-		}
 		return simulateScheduled(p, s, scratch, res, so.ctx)
 	}
 	var prio []int

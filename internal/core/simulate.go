@@ -19,9 +19,6 @@ import (
 // under an overlay or patch. Implementations must be deterministic.
 // Returning an index outside [0, len(frontier)) aborts the simulation
 // with an error.
-//
-// Pre-TaskView schedulers implementing the old
-// Pick(frontier, effStart) *Task shape wrap with AdaptScheduler.
 type Scheduler interface {
 	Pick(frontier []*Task, ctx *SchedContext) int
 }
@@ -84,49 +81,6 @@ func (EarliestStart) Pick(frontier []*Task, ctx *SchedContext) int {
 		}
 	}
 	return best
-}
-
-// LegacyScheduler is the pre-TaskView scheduler contract: pick a task
-// pointer given only an effective-start oracle. It cannot see overlaid
-// priorities or effective timings — wrap it with AdaptScheduler to run
-// it on the view-generic path, or migrate to Scheduler's
-// Pick(frontier, ctx) int form.
-type LegacyScheduler interface {
-	Pick(frontier []*Task, effStart func(*Task) time.Duration) *Task
-}
-
-// AdaptScheduler wraps a LegacyScheduler as a view-generic Scheduler:
-// the legacy pick runs with the context's EffStart and the returned
-// task is located in the frontier. Because the wrapped policy reads raw
-// Task fields, simulations reject it where those fields diverge from
-// the effective view: an Overlay with priority edits (as before this
-// shim existed), and a structural Patch with any timing or priority
-// overlay (where the pre-view fallback materialized effective fields).
-// Migrate field-reading policies to the native contract; policies that
-// only use effStart keep working unchanged through the shim.
-func AdaptScheduler(s LegacyScheduler) Scheduler { return &legacyScheduler{s: s} }
-
-// legacyScheduler is AdaptScheduler's shim.
-type legacyScheduler struct{ s LegacyScheduler }
-
-func (l *legacyScheduler) Pick(frontier []*Task, ctx *SchedContext) int {
-	t := l.s.Pick(frontier, ctx.EffStart)
-	if t == nil {
-		return -1
-	}
-	for i, f := range frontier {
-		if f == t {
-			return i
-		}
-	}
-	return -1
-}
-
-// isLegacySched reports whether sched routes through the AdaptScheduler
-// shim (and therefore reads raw Task fields).
-func isLegacySched(s Scheduler) bool {
-	_, ok := s.(*legacyScheduler)
-	return ok
 }
 
 // customScheduler returns s unless it is nil or the default
@@ -692,7 +646,7 @@ func simulateScheduled(v schedView, sched Scheduler, scratch *SimScratch, res *S
 		i := sched.Pick(frontier, sctx)
 		if i < 0 || i >= len(frontier) {
 			scratch.frontier = frontier[:0]
-			return nil, fmt.Errorf("core: scheduler picked frontier index %d of %d (a legacy adapter returns -1 for a nil or out-of-frontier task)", i, len(frontier))
+			return nil, fmt.Errorf("core: scheduler picked frontier index %d of %d (Pick must return an index into the frontier)", i, len(frontier))
 		}
 		u := frontier[i]
 		frontier[i] = frontier[len(frontier)-1]

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"daydream/internal/comm"
+	"daydream/internal/core"
 	"daydream/internal/framework"
 	"daydream/internal/whatif"
 )
@@ -89,38 +90,37 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil
 	}
 
-	if err := add("AMP (Alg 3)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		whatif.AMP(c)
-		return c.PredictIteration()
-	}); err != nil {
+	// The built-in models apply through their Optimization values on a
+	// private clone and simulate under the default scheduler (vDNN's
+	// row keeps the earliest-start policy, not its carried one).
+	predictOpt := func(g *core.Graph, opt core.Optimization) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
+			c, err := core.ApplyOptimization(g.Clone(), opt)
+			if err != nil {
+				return 0, err
+			}
+			return c.PredictIteration()
+		}
+	}
+	// distributed returns a private clone of the resnet50 profile with
+	// Algorithm 6's all-reduces applied, for the in-place communication
+	// models layered on top.
+	distributed := func() (*core.Graph, error) {
+		return core.ApplyOptimization(rg.Clone(), whatif.OptDistributed(whatif.DistributedOptions{Topology: topo}))
+	}
+
+	if err := add("AMP (Alg 3)", resnet.Name, rBase, predictOpt(rg, whatif.OptAMP())); err != nil {
 		return nil, err
 	}
-	if err := add("FusedAdam (Alg 4)", gnmt.Name, gBase, func() (time.Duration, error) {
-		c := gg.Clone()
-		if err := whatif.FusedAdam(c); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
-	}); err != nil {
+	if err := add("FusedAdam (Alg 4)", gnmt.Name, gBase, predictOpt(gg, whatif.OptFusedAdam())); err != nil {
 		return nil, err
 	}
-	if err := add("Recon. batchnorm (Alg 5)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.ReconBatchnorm(c, whatif.ReconBatchnormOptions{}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
-	}); err != nil {
+	if err := add("Recon. batchnorm (Alg 5)", resnet.Name, rBase,
+		predictOpt(rg, whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{}))); err != nil {
 		return nil, err
 	}
-	if err := add("Distributed (Alg 6)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Distributed(c, whatif.DistributedOptions{Topology: topo}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
-	}); err != nil {
+	if err := add("Distributed (Alg 6)", resnet.Name, rBase,
+		predictOpt(rg, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo}))); err != nil {
 		return nil, err
 	}
 	// P3 needs an MXNet-style profile; its baseline is the plain FIFO
@@ -153,8 +153,8 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil, err
 	}
 	if err := add("BlueConnect (Alg 8)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Distributed(c, whatif.DistributedOptions{Topology: topo}); err != nil {
+		c, err := distributed()
+		if err != nil {
 			return 0, err
 		}
 		if err := whatif.BlueConnect(c, whatif.BlueConnectOptions{
@@ -181,27 +181,15 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := add("vDNN (Alg 10)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
-	}); err != nil {
+	if err := add("vDNN (Alg 10)", resnet.Name, rBase, predictOpt(rg, whatif.OptVDNN(whatif.VDNNOptions{}))); err != nil {
 		return nil, err
 	}
-	if err := add("Gist (Alg 11)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Gist(c, whatif.GistOptions{}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
-	}); err != nil {
+	if err := add("Gist (Alg 11)", resnet.Name, rBase, predictOpt(rg, whatif.OptGist(whatif.GistOptions{}))); err != nil {
 		return nil, err
 	}
 	if err := add("DGC (Alg 12)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Distributed(c, whatif.DistributedOptions{Topology: topo}); err != nil {
+		c, err := distributed()
+		if err != nil {
 			return 0, err
 		}
 		if err := whatif.DGC(c, whatif.DGCOptions{}); err != nil {

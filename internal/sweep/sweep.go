@@ -21,8 +21,8 @@
 //     view-generically over the same patch, so scheduled structural
 //     scenarios are clone-free too.
 //   - Rewrite scenarios (a Transform, or an Opt that demands a
-//     materialized graph: a core.GraphRewriter such as P3's Repeat, or
-//     a legacy in-place transform) mutate a private Graph.Clone.
+//     materialized graph, such as a core.GraphRewriter like P3's
+//     Repeat) mutate a private Graph.Clone.
 //   - Replay scenarios (no what-if at all, or a no-op Opt such as an
 //     empty core.Stack) simulate the shared baseline directly, which
 //     never mutates it.
@@ -93,9 +93,9 @@ type Scenario struct {
 	// through a worker-owned core.Patch over the shared baseline —
 	// timing-only and patch-form structural optimizations alike run
 	// clone-free; only values that demand a materialized graph (a
-	// core.GraphRewriter such as P3's Repeat form, or a legacy in-place
-	// transform) get a private clone, and a known no-op (an empty
-	// core.Stack) replays the baseline without cloning. An optimization
+	// core.GraphRewriter such as P3's Repeat form) get a private clone,
+	// and a known no-op (an empty core.Stack) replays the baseline
+	// without cloning. An optimization
 	// carrying its own metric (P3) supplies the Measure unless the
 	// scenario sets one. Setting Opt together with Transform or
 	// ScaleTransform is an error.

@@ -445,11 +445,11 @@ func gpuScaleOpt(factor float64) core.Optimization {
 // value all predict bit-identically to the equivalent manual paths.
 func TestSweepOptDispatch(t *testing.T) {
 	g := testGraph(40)
-	structural := core.StructuralOpt("drop-first-kernel", func(c *core.Graph) error {
-		kernels := c.Select(core.OnGPUPred)
-		c.Remove(kernels[0])
+	structural := core.PatchOpt("drop-first-kernel", core.Structural, func(p *core.Patch) error {
+		kernels := p.Base().Select(core.OnGPUPred)
+		p.RemoveTask(kernels[0])
 		return nil
-	})
+	}, nil)
 	opts := []Scenario{
 		{Opt: gpuScaleOpt(0.5)},
 		{Opt: core.Stack(gpuScaleOpt(0.5), gpuScaleOpt(0.5))},
@@ -459,7 +459,8 @@ func TestSweepOptDispatch(t *testing.T) {
 		overlayScaleScenario("a", 0.5),
 		overlayScaleScenario("b", 0.25),
 		{Name: "c", Transform: func(c *core.Graph) (*core.Graph, error) {
-			return c, core.ApplyGraph(structural, c)
+			c.Remove(c.Select(core.OnGPUPred)[0])
+			return c, nil
 		}},
 	}
 	got, err := Run(g, opts)

@@ -191,10 +191,10 @@ func TestMemoryBodiesScanTasksOncePerApply(t *testing.T) {
 		apply func(p *core.Patch, v core.TaskView) error
 	}{
 		{"vdnn", func(p *core.Patch, v core.TaskView) error {
-			return vdnnInto(p.Base(), v, p, VDNNOptions{OffloadLayer: all, PrefetchDistance: 2})
+			return vdnnInto(p, v, VDNNOptions{OffloadLayer: all, PrefetchDistance: 2})
 		}},
 		{"gist", func(p *core.Patch, v core.TaskView) error {
-			return gistInto(p.Base(), v, p, GistOptions{Lossy: true})
+			return gistInto(p, v, GistOptions{Lossy: true})
 		}},
 	}
 	for _, tc := range bodies {

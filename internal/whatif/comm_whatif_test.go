@@ -22,13 +22,13 @@ func TestBlueConnectHelpsOnHierarchicalTopology(t *testing.T) {
 		StepLatency:    15 * time.Microsecond,
 	}
 	flat := g.Clone()
-	if err := whatif.Distributed(flat, whatif.DistributedOptions{Topology: topo}); err != nil {
+	if err := apply(flat, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo})); err != nil {
 		t.Fatal(err)
 	}
 	flatTime := predict(t, flat)
 
 	blue := g.Clone()
-	if err := whatif.Distributed(blue, whatif.DistributedOptions{Topology: topo}); err != nil {
+	if err := apply(blue, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo})); err != nil {
 		t.Fatal(err)
 	}
 	// Dimension 0: across the 2 machines over the NIC; dimension 1:
@@ -51,7 +51,7 @@ func TestBlueConnectHelpsOnHierarchicalTopology(t *testing.T) {
 // faster iterations in a comm-bound setting.
 func TestDGCCompressionRatioMatters(t *testing.T) {
 	g := profile(t, "vgg19", framework.PyTorch)
-	if err := whatif.Distributed(g, whatif.DistributedOptions{Topology: topo4x1(2)}); err != nil {
+	if err := apply(g, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(2)})); err != nil {
 		t.Fatal(err)
 	}
 	run := func(ratio float64) time.Duration {
@@ -80,9 +80,9 @@ func TestDistributedBucketSizeTradeoff(t *testing.T) {
 		}
 		topo := topo4x1(10)
 		topo.StepLatency = 200 * time.Microsecond
-		if err := whatif.Distributed(c, whatif.DistributedOptions{
+		if err := apply(c, whatif.OptDistributed(whatif.DistributedOptions{
 			Topology: topo, BucketBytes: bucketBytes,
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		return predict(t, c)

@@ -5,80 +5,45 @@ import (
 	"time"
 
 	"daydream/internal/core"
-	"daydream/internal/trace"
 )
 
-// fusedAdamPlan computes the parts of Algorithm 4 both forms share: the
-// weight-update GPU kernels, the one that becomes the fused kernel (the
-// earliest in the traced schedule), and the summed duration estimate.
-func fusedAdamPlan(g *core.Graph, wuGPU []*core.Task, dur func(*core.Task) time.Duration) (first *core.Task, sum time.Duration, err error) {
+// fusedAdamOverlay models Apex's fused Adam optimizer per the paper's
+// §5.1 and Algorithm 4: all weight-update-phase tasks disappear —
+// eliminating the thousands of CUDA launches that bottleneck the CPU —
+// and one fused GPU kernel takes their place, its duration estimated as
+// the sum of the superseded kernels' durations. The estimate is
+// deliberately the paper's (it cannot know the fused implementation's
+// true memory traffic), which is one of the places prediction error
+// comes from.
+//
+// The earliest weight-update kernel in the traced schedule becomes the
+// fused kernel. Instead of removing the other kernels and their launch
+// calls, the overlay zeroes their durations and gaps, which yields the
+// same simulated makespan and the same start time for every surviving
+// task as Algorithm 4's removal. The equivalence holds because every
+// zeroed task is sequence-chained on its thread (they are traced
+// kernels/launches): its thread-progress term equals its sequence
+// parent's end, so everything a zero-time task forwards — dependency-
+// parent ends and thread progress alike — is an ordering constraint
+// Remove's reconnection edges preserve. (The zeroed tasks still exist,
+// so a critical path may legitimately route through them where the
+// removal form routes through the reconnection edges.)
+func fusedAdamOverlay(o *core.Overlay) error {
+	g := o.Base()
 	if err := requireLayers(g, "FusedAdam"); err != nil {
-		return nil, 0, err
+		return err
 	}
+	wuGPU := g.LayerPhaseIndex().WeightUpdateGPUTasks()
 	if len(wuGPU) == 0 {
-		return nil, 0, fmt.Errorf("whatif: FusedAdam: no weight-update GPU tasks found")
+		return fmt.Errorf("whatif: FusedAdam: no weight-update GPU tasks found")
 	}
+	first := wuGPU[0]
+	var sum time.Duration
 	for _, u := range wuGPU {
-		sum += dur(u)
-	}
-	first = wuGPU[0]
-	for _, u := range wuGPU {
+		sum += o.Duration(u)
 		if u.TracedStart < first.TracedStart {
 			first = u
 		}
-	}
-	return first, sum, nil
-}
-
-// FusedAdam models Apex's fused Adam optimizer per the paper's §5.1 and
-// Algorithm 4: all weight-update-phase tasks are removed — eliminating the
-// thousands of CUDA launches that bottleneck the CPU — and one fused GPU
-// kernel is inserted whose duration is estimated as the sum of the removed
-// kernels' durations. The estimate is deliberately the paper's (it cannot
-// know the fused implementation's true memory traffic), which is one of
-// the places prediction error comes from.
-func FusedAdam(g *core.Graph) error {
-	wuGPU := g.Select(core.And(core.OnGPUPred, core.InPhase(trace.WeightUpdate)))
-	first, sum, err := fusedAdamPlan(g, wuGPU,
-		func(t *core.Task) time.Duration { return t.Duration })
-	if err != nil {
-		return err
-	}
-	first.Duration = sum
-	first.Name = "multi_tensor_apply_kernel_adam"
-	for _, u := range wuGPU {
-		if u == first {
-			continue
-		}
-		// Remove the launch that triggered the kernel, then the
-		// kernel itself: FusedAdam's win is precisely these CPU
-		// tasks disappearing.
-		if peer := u.Peer(); peer != nil && peer.OnCPU() {
-			g.Remove(peer)
-		}
-		g.Remove(u)
-	}
-	return nil
-}
-
-// FusedAdamOverlay is FusedAdam's clone-free form: instead of removing
-// the superseded weight-update kernels and their launch calls, it
-// zeroes their durations and gaps through the overlay, which yields the
-// same simulated makespan and the same start time for every surviving
-// task. The equivalence holds because every zeroed task is
-// sequence-chained on its thread (they are traced kernels/launches):
-// its thread-progress term equals its sequence parent's end, so
-// everything a zero-time task forwards — dependency-parent ends and
-// thread progress alike — is an ordering constraint Remove's
-// reconnection edges preserve. (The zeroed tasks still exist, so a
-// critical path may legitimately route through them where the removal
-// form routes through the reconnection edges.)
-func FusedAdamOverlay(o *core.Overlay) error {
-	g := o.Base()
-	wuGPU := g.LayerPhaseIndex().WeightUpdateGPUTasks()
-	first, sum, err := fusedAdamPlan(g, wuGPU, o.Duration)
-	if err != nil {
-		return err
 	}
 	o.SetDuration(first, sum)
 	for _, u := range wuGPU {

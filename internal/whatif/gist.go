@@ -33,120 +33,36 @@ func (o *GistOptions) defaults() {
 	}
 }
 
-// Gist models the memory-footprint optimization of Jain et al. per the
-// paper's §5.2 and Algorithm 11: encode kernels (with their CPU launch
-// calls) are inserted after the forward pass of each targeted activation,
-// and decode kernels before its backward pass. The inserted kernels'
-// durations are estimated from the existing element-wise kernels in the
-// profile, exactly as the paper suggests ("the duration of the inserted
-// encoding/decoding kernels can be estimated using existing element-wise
-// kernels"). Simulating the result quantifies Gist's runtime overhead.
-func Gist(g *core.Graph, opts GistOptions) error {
-	if err := requireLayers(g, "Gist"); err != nil {
-		return err
-	}
-	opts.defaults()
-	ew := g.Select(core.And(core.OnGPUPred, core.NameContains("elementwise")))
-	est := core.MeanDuration(ew)
-	if est == 0 {
-		return fmt.Errorf("whatif: Gist: no element-wise kernels to estimate from")
-	}
-	grads := gradientsByIndex(g)
-	anchors := anchorsOf(g)
-	inserted := 0
-	for _, li := range sortedLayerIndices(grads) {
-		gr := grads[li]
-		isTarget := opts.EncodeLayer(gr)
-		if !isTarget && !(opts.Lossy && gr.Kind != "relu" && gr.ActBytes > 0) {
-			continue
-		}
-		fwdLast := anchors.lastFwdGPU(li)
-		bwdFirst := anchors.firstBwdGPU(li)
-		if fwdLast == nil || bwdFirst == nil {
-			continue
-		}
-		name := "gist_ssdc_encode"
-		if !isTarget {
-			name = "gist_dpr_encode"
-		}
-		encLaunch := fwdLast.Peer()
-		if encLaunch == nil {
-			continue
-		}
-		if _, _, err := g.InsertKernel(core.KernelInsertion{
-			Name:        name,
-			Duration:    est,
-			LaunchAfter: encLaunch,
-			KernelAfter: fwdLast,
-			Layer:       gr.Layer,
-			LayerIndex:  li,
-			Phase:       trace.Forward,
-		}); err != nil {
-			return err
-		}
-		decAnchor := bwdFirst.Peer()
-		if decAnchor == nil || decAnchor.SeqPrev() == nil {
-			continue
-		}
-		if _, _, err := g.InsertKernel(core.KernelInsertion{
-			Name:        "gist_decode",
-			Duration:    est,
-			LaunchAfter: decAnchor.SeqPrev(),
-			KernelAfter: prevOnStream(bwdFirst),
-			Stream:      bwdFirst.Thread,
-			Layer:       gr.Layer,
-			LayerIndex:  li,
-			Phase:       trace.Backward,
-		}); err != nil {
-			return err
-		}
-		// The decode must precede the consumer's backward kernel.
-		inserted++
-	}
-	if inserted == 0 {
-		return fmt.Errorf("whatif: Gist: no target activations found")
-	}
-	return nil
-}
-
-// prevOnStream returns the GPU task preceding t on its stream, or nil.
-func prevOnStream(t *core.Task) *core.Task { return t.SeqPrev() }
-
-// gistEditor extends the shared write surface with the sequence-splice
-// primitives Gist's stream insertions need; *core.Graph and *core.Patch
-// both satisfy it.
-type gistEditor interface {
-	graphEditor
-	InsertAfter(prev, t *core.Task) error
-	InsertBefore(next, t *core.Task) error
-}
-
-// gistEncodePrefix/gistDecodeName are the naming convention the memory
-// measurer scans for, shared with the legacy in-place form.
+// gistSSDCEncode/gistDPREncode/gistDecodeName are the task names
+// gistInto emits and the memory measurer scans for.
 const (
 	gistSSDCEncode = "gist_ssdc_encode"
 	gistDPREncode  = "gist_dpr_encode"
 	gistDecodeName = "gist_decode"
 )
 
-// GistPatch is Gist's Algorithm-11 surgery as a copy-on-write
-// structural patch: encode kernels splice onto the stream right after
-// each targeted activation's last forward kernel, decode kernels right
-// before its first backward kernel, with durations estimated from the
-// baseline's element-wise kernels (falling back to the mean GPU kernel
-// when a workload has none). Unlike the legacy in-place Gist it leans
-// on the stream sequence for launch ordering instead of inserting CPU
-// launch calls — the GPU-side timing model is identical, and the patch
-// never clones the baseline.
+// GistPatch models the memory-footprint optimization of Jain et al.
+// per the paper's §5.2 and Algorithm 11 as a copy-on-write structural
+// patch: encode kernels splice onto the stream right after each
+// targeted activation's last forward kernel, decode kernels right
+// before its first backward kernel. Their durations are estimated from
+// the baseline's element-wise kernels, exactly as the paper suggests
+// ("the duration of the inserted encoding/decoding kernels can be
+// estimated using existing element-wise kernels"), falling back to the
+// mean GPU kernel when a workload has none. The inserted kernels ride
+// the stream sequence for launch ordering instead of getting CPU launch
+// calls of their own. Simulating the result quantifies Gist's runtime
+// overhead.
 func GistPatch(p *core.Patch, opts GistOptions) error {
-	return gistInto(p.Base(), p, p, opts)
+	return gistInto(p, p, opts)
 }
 
-// gistInto reads workload metadata from the baseline g, indexes the
-// effective view's anchors once, and emits the encode/decode insertions
-// through ed — the same shape as vdnnInto, so the patch form and an
-// in-place application are bit-equivalent by construction.
-func gistInto(g *core.Graph, view core.TaskView, ed gistEditor, opts GistOptions) error {
+// gistInto reads workload metadata from the patch's baseline, indexes
+// the view's anchors once, and emits the encode/decode insertions
+// through p — the same shape as vdnnInto. The view is the patch itself
+// outside tests.
+func gistInto(p *core.Patch, view core.TaskView, opts GistOptions) error {
+	g := p.Base()
 	if err := requireLayers(g, "Gist"); err != nil {
 		return err
 	}
@@ -177,19 +93,19 @@ func gistInto(g *core.Graph, view core.TaskView, ed gistEditor, opts GistOptions
 		if !isTarget {
 			name = gistDPREncode
 		}
-		enc := ed.NewTask(name, trace.KindKernel, fwdLast.Thread, est)
+		enc := p.NewTask(name, trace.KindKernel, fwdLast.Thread, est)
 		enc.Layer, enc.LayerIndex, enc.Phase, enc.HasLayer = gr.Layer, li, trace.Forward, true
-		if err := ed.InsertAfter(fwdLast, enc); err != nil {
+		if err := p.InsertAfter(fwdLast, enc); err != nil {
 			return err
 		}
-		dec := ed.NewTask(gistDecodeName, trace.KindKernel, bwdFirst.Thread, est)
+		dec := p.NewTask(gistDecodeName, trace.KindKernel, bwdFirst.Thread, est)
 		dec.Layer, dec.LayerIndex, dec.Phase, dec.HasLayer = gr.Layer, li, trace.Backward, true
-		if err := ed.InsertBefore(bwdFirst, dec); err != nil {
+		if err := p.InsertBefore(bwdFirst, dec); err != nil {
 			return err
 		}
 		// The decode reads the encoded buffer; explicit even when the
 		// stream sequence already orders them (multi-stream traces).
-		if err := ed.AddDependency(enc, dec, core.DepCustom); err != nil {
+		if err := p.AddDependency(enc, dec, core.DepCustom); err != nil {
 			return err
 		}
 		inserted++

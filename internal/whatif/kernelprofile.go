@@ -27,19 +27,21 @@ func (p KernelProfile) sortedKeys() []string {
 	return keys
 }
 
-// applyKernelProfile matches every GPU task in the list against the
-// profile and hands the overridden duration to set, returning the
-// number of tasks updated — the shared core of both forms.
-func applyKernelProfile(gpu []*core.Task, profile KernelProfile, set func(*core.Task, time.Duration)) int {
+// applyKernelProfileOverlay overwrites the duration of every GPU task
+// whose name contains a profile key, recording the profiled durations
+// as overlay deltas — typically a handful of sparse edits — over the
+// shared baseline. When several keys match one task, the longest key
+// wins (most specific). It returns how many tasks were updated.
+func applyKernelProfileOverlay(o *core.Overlay, profile KernelProfile) int {
 	if len(profile) == 0 {
 		return 0
 	}
 	keys := profile.sortedKeys()
 	updated := 0
-	for _, u := range gpu {
+	for _, u := range o.Base().LayerPhaseIndex().GPUTasks() {
 		for _, k := range keys {
 			if core.NameContains(k)(u) {
-				set(u, profile[k])
+				o.SetDuration(u, profile[k])
 				updated++
 				break
 			}
@@ -48,32 +50,11 @@ func applyKernelProfile(gpu []*core.Task, profile KernelProfile, set func(*core.
 	return updated
 }
 
-// ApplyKernelProfile overwrites the duration of every GPU task whose name
-// contains a profile key, and returns how many tasks were updated. When
-// several keys match one task, the longest key wins (most specific).
-func ApplyKernelProfile(g *core.Graph, profile KernelProfile) int {
-	return applyKernelProfile(g.Select(core.OnGPUPred), profile,
-		func(t *core.Task, d time.Duration) { t.Duration = d })
-}
-
-// ApplyKernelProfileOverlay is ApplyKernelProfile's clone-free form:
-// profiled durations are recorded as overlay deltas — typically a
-// handful of sparse edits — over the shared baseline.
-func ApplyKernelProfileOverlay(o *core.Overlay, profile KernelProfile) int {
-	return applyKernelProfile(o.Base().LayerPhaseIndex().GPUTasks(), profile, o.SetDuration)
-}
-
-// ScaleByName multiplies the durations of GPU tasks whose name contains
-// the substring — the generic COZ-style "what if task T were N× faster"
-// question the paper's related work poses, expressed with the primitives.
-func ScaleByName(g *core.Graph, sub string, factor float64) int {
-	tasks := g.Select(core.And(core.OnGPUPred, core.NameContains(sub)))
-	core.Scale(tasks, factor)
-	return len(tasks)
-}
-
-// ScaleByNameOverlay is ScaleByName's clone-free form.
-func ScaleByNameOverlay(o *core.Overlay, sub string, factor float64) int {
+// scaleByNameOverlay multiplies the durations of GPU tasks whose name
+// contains the substring — the generic COZ-style "what if task T were
+// N× faster" question the paper's related work poses — and returns how
+// many tasks it scaled.
+func scaleByNameOverlay(o *core.Overlay, sub string, factor float64) int {
 	tasks := o.Base().LayerPhaseIndex().GPUTasksMatching(sub)
 	for _, u := range tasks {
 		o.ScaleDuration(u, factor)

@@ -10,25 +10,27 @@ import (
 )
 
 // First-class Optimization values for every optimization model in this
-// package. Each constructor wraps the model's overlay form and clone
-// form into one self-describing core.Optimization, so the same value
-// drives Compare, sweep scenarios, the experiment grids and the CLIs,
-// and core.Stack composes them into single composed what-ifs.
+// package. Each constructor wraps the model's one body — an overlay
+// edit for timing-only models, a patch edit for structural ones — into
+// a self-describing core.Optimization, so the same value drives
+// Compare, sweep scenarios, the experiment grids and the CLIs, and
+// core.Stack composes them into single composed what-ifs. Callers that
+// need a real *Graph apply a value to a private clone with
+// core.ApplyOptimization.
 
 // OptAMP returns automatic mixed precision (Algorithm 3) as an
 // Optimization value. Timing-only: evaluation rides the clone-free
 // overlay path.
 func OptAMP() core.Optimization {
 	return core.TimingOpt("amp",
-		func(o *core.Overlay) error { AMPOverlay(o); return nil },
-		func(g *core.Graph) error { AMP(g); return nil })
+		func(o *core.Overlay) error { ampOverlay(o); return nil }, nil)
 }
 
 // OptFusedAdam returns Apex's fused Adam optimizer (Algorithm 4) as an
 // Optimization value. Timing-only: the overlay form zeroes superseded
 // kernels instead of removing them, which simulates identically.
 func OptFusedAdam() core.Optimization {
-	return core.TimingOpt("fusedadam", FusedAdamOverlay, FusedAdam)
+	return core.TimingOpt("fusedadam", fusedAdamOverlay, nil)
 }
 
 // OptReconBatchnorm returns batchnorm restructuring (Algorithm 5) as an
@@ -39,8 +41,7 @@ func OptFusedAdam() core.Optimization {
 // the removed kernels).
 func OptReconBatchnorm(opts ReconBatchnormOptions) core.Optimization {
 	return core.TimingOpt("reconbn",
-		func(o *core.Overlay) error { return ReconBatchnormOverlay(o, opts) },
-		func(g *core.Graph) error { return ReconBatchnorm(g, opts) })
+		func(o *core.Overlay) error { return reconBatchnormOverlay(o, opts) }, nil)
 }
 
 // OptReconBatchnormRemoval returns Algorithm 5's removal form as a
@@ -140,16 +141,14 @@ func OptDeviceUpgrade(from, to *xpu.Device) core.Optimization {
 		name = fmt.Sprintf("upgrade to %s", to.Name)
 	}
 	return core.TimingOpt(name,
-		func(o *core.Overlay) error { return DeviceUpgradeOverlay(o, from, to) },
-		func(g *core.Graph) error { return DeviceUpgrade(g, from, to) })
+		func(o *core.Overlay) error { return deviceUpgradeOverlay(o, from, to) }, nil)
 }
 
 // OptKernelProfile returns the externally-profiled-kernel what-if
 // (paper §7.4) as an Optimization value.
 func OptKernelProfile(p KernelProfile) core.Optimization {
 	return core.TimingOpt("kprofile",
-		func(o *core.Overlay) error { ApplyKernelProfileOverlay(o, p); return nil },
-		func(g *core.Graph) error { ApplyKernelProfile(g, p); return nil })
+		func(o *core.Overlay) error { applyKernelProfileOverlay(o, p); return nil }, nil)
 }
 
 // OptScale returns the COZ-style "what if kernels matching sub were
@@ -157,6 +156,5 @@ func OptKernelProfile(p KernelProfile) core.Optimization {
 func OptScale(sub string, factor float64) core.Optimization {
 	name := fmt.Sprintf("scale %q x%g", sub, factor)
 	return core.TimingOpt(name,
-		func(o *core.Overlay) error { ScaleByNameOverlay(o, sub, factor); return nil },
-		func(g *core.Graph) error { ScaleByName(g, sub, factor); return nil })
+		func(o *core.Overlay) error { scaleByNameOverlay(o, sub, factor); return nil }, nil)
 }

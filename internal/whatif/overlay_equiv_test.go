@@ -1,17 +1,21 @@
 package whatif_test
 
-// Overlay-vs-clone equivalence suite: for every zoo model and every
-// duration-only what-if optimization, the clone-free overlay form must
-// reproduce the clone+mutate form bit for bit — same makespan and same
-// start time for every task alive in the mutated clone. For the pure
-// rescaling transforms (no task removal) the critical path must also
-// match task for task; the zeroing forms (FusedAdam, ReconBatchnorm)
-// keep the zeroed tasks in the graph, so their critical path may
-// legitimately route through a zero-duration task where the removal
-// form routes through Remove's reconnection edges, and only
-// makespan+starts are compared.
+// Timing-only equivalence suite: for every zoo model and every
+// duration-only what-if optimization, the clone-free Patch evaluation of
+// the Opt value must reproduce core.ApplyOptimization on a private clone
+// bit for bit — same makespan, same start time for every task and the
+// same critical path, task for task.
+//
+// The zeroing forms (FusedAdam, ReconBatchnorm) additionally stay pinned
+// to the removal they model: a removal oracle over a Patch (RemoveTask,
+// which reproduces Graph.Remove's reconnection edges) must give the same
+// makespan and the same start for every surviving task. Their critical
+// path is not compared against the oracle: the zeroed tasks stay in the
+// graph, so it may legitimately route through a zero-duration task
+// where the removal routes through the reconnection edges.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,14 +26,14 @@ import (
 	"daydream/internal/xpu"
 )
 
-// equivCase pairs a clone-path transform with its overlay form.
+// equivCase is one timing-only Opt value, optionally with the removal
+// it models.
 type equivCase struct {
 	name string
-	// strictPath additionally requires identical critical paths (holds
-	// for pure rescaling, where both graphs have identical structure).
-	strictPath bool
-	clone      func(*core.Graph) error
-	overlay    func(*core.Overlay) error
+	opt  core.Optimization
+	// removal, when set, applies the structural form the zeroing opt
+	// stands for.
+	removal func(*core.Patch) error
 }
 
 func equivCases() []equivCase {
@@ -40,57 +44,46 @@ func equivCases() []equivCase {
 	}
 	from, to := xpu.RTX2080Ti(), xpu.V100()
 	return []equivCase{
+		{name: "amp", opt: whatif.OptAMP()},
+		{name: "kernelprofile", opt: whatif.OptKernelProfile(profile)},
+		{name: "scalebyname", opt: whatif.OptScale("elemwise", 0.25)},
+		{name: "upgrade", opt: whatif.OptDeviceUpgrade(from, to)},
+		{name: "fusedadam", opt: whatif.OptFusedAdam(), removal: fusedAdamRemoval},
 		{
-			name:       "amp",
-			strictPath: true,
-			clone:      func(g *core.Graph) error { whatif.AMP(g); return nil },
-			overlay:    func(o *core.Overlay) error { whatif.AMPOverlay(o); return nil },
-		},
-		{
-			name:       "kernelprofile",
-			strictPath: true,
-			clone: func(g *core.Graph) error {
-				whatif.ApplyKernelProfile(g, profile)
-				return nil
-			},
-			overlay: func(o *core.Overlay) error {
-				whatif.ApplyKernelProfileOverlay(o, profile)
-				return nil
-			},
-		},
-		{
-			name:       "scalebyname",
-			strictPath: true,
-			clone: func(g *core.Graph) error {
-				whatif.ScaleByName(g, "elemwise", 0.25)
-				return nil
-			},
-			overlay: func(o *core.Overlay) error {
-				whatif.ScaleByNameOverlay(o, "elemwise", 0.25)
-				return nil
-			},
-		},
-		{
-			name:       "upgrade",
-			strictPath: true,
-			clone:      func(g *core.Graph) error { return whatif.DeviceUpgrade(g, from, to) },
-			overlay:    func(o *core.Overlay) error { return whatif.DeviceUpgradeOverlay(o, from, to) },
-		},
-		{
-			name:    "fusedadam",
-			clone:   whatif.FusedAdam,
-			overlay: whatif.FusedAdamOverlay,
-		},
-		{
-			name: "batchnorm",
-			clone: func(g *core.Graph) error {
-				return whatif.ReconBatchnorm(g, whatif.ReconBatchnormOptions{})
-			},
-			overlay: func(o *core.Overlay) error {
-				return whatif.ReconBatchnormOverlay(o, whatif.ReconBatchnormOptions{})
-			},
+			name:    "batchnorm",
+			opt:     whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{}),
+			removal: whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{}).Apply,
 		},
 	}
+}
+
+// fusedAdamRemoval is Algorithm 4 as the paper states it: every
+// superseded weight-update kernel and its CPU launch are removed, and
+// the earliest-traced weight-update kernel takes the summed duration.
+func fusedAdamRemoval(p *core.Patch) error {
+	wu := p.Base().LayerPhaseIndex().WeightUpdateGPUTasks()
+	if len(wu) == 0 {
+		return fmt.Errorf("no weight-update GPU tasks")
+	}
+	first := wu[0]
+	var sum time.Duration
+	for _, u := range wu {
+		sum += p.Duration(u)
+		if u.TracedStart < first.TracedStart {
+			first = u
+		}
+	}
+	for _, u := range wu {
+		if u == first {
+			continue
+		}
+		if peer := u.Peer(); peer != nil && peer.OnCPU() {
+			p.RemoveTask(peer)
+		}
+		p.RemoveTask(u)
+	}
+	p.SetDuration(first, sum)
+	return nil
 }
 
 func TestOverlayEquivalenceAcrossZoo(t *testing.T) {
@@ -110,49 +103,63 @@ func TestOverlayEquivalenceAcrossZoo(t *testing.T) {
 
 func assertOverlayEquivalence(t *testing.T, g *core.Graph, tc equivCase) {
 	t.Helper()
-	c := g.Clone()
-	cloneErr := tc.clone(c)
-	o := core.NewOverlay(g)
-	overlayErr := tc.overlay(o)
-	if (cloneErr == nil) != (overlayErr == nil) {
-		t.Fatalf("error mismatch: clone=%v overlay=%v", cloneErr, overlayErr)
+	p := core.NewPatch(g)
+	patchErr := tc.opt.Apply(p)
+	c, cloneErr := core.ApplyOptimization(g.Clone(), tc.opt)
+	if (cloneErr == nil) != (patchErr == nil) {
+		t.Fatalf("error mismatch: clone=%v patch=%v", cloneErr, patchErr)
 	}
 	if cloneErr != nil {
-		return // both forms reject the workload the same way
+		return // both paths reject the workload the same way
+	}
+	if p.Structural() {
+		t.Fatal("timing-only opt recorded structural deltas")
 	}
 
 	want, err := c.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.Simulate()
+	got, err := p.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Makespan != want.Makespan {
-		t.Fatalf("makespan: overlay %v, clone %v", got.Makespan, want.Makespan)
+		t.Fatalf("makespan: patch %v, clone %v", got.Makespan, want.Makespan)
 	}
-	// Start times of every task alive in the mutated clone (IDs are
-	// preserved by Clone and left as holes by Remove).
 	for id := 0; id < c.IDSpan(); id++ {
-		if c.Task(id) == nil {
-			continue
-		}
 		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: overlay %v, clone %v", id, got.Start[id], want.Start[id])
+			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
 		}
 	}
-	if tc.strictPath {
-		gotPath := core.CriticalPath(g, got)
-		wantPath := core.CriticalPath(c, want)
-		if len(gotPath) != len(wantPath) {
-			t.Fatalf("critical path length: overlay %d, clone %d", len(gotPath), len(wantPath))
+	gotPath := core.CriticalPath(g, got)
+	wantPath := core.CriticalPath(c, want)
+	if len(gotPath) != len(wantPath) {
+		t.Fatalf("critical path length: patch %d, clone %d", len(gotPath), len(wantPath))
+	}
+	for i := range gotPath {
+		if gotPath[i].ID != wantPath[i].ID {
+			t.Fatalf("critical path[%d]: patch #%d, clone #%d", i, gotPath[i].ID, wantPath[i].ID)
 		}
-		for i := range gotPath {
-			if gotPath[i].ID != wantPath[i].ID {
-				t.Fatalf("critical path[%d]: overlay #%d, clone #%d",
-					i, gotPath[i].ID, wantPath[i].ID)
-			}
+	}
+
+	if tc.removal == nil {
+		return
+	}
+	rp := core.NewPatch(g)
+	if err := tc.removal(rp); err != nil {
+		t.Fatalf("removal oracle failed where the zeroing form applied: %v", err)
+	}
+	removed, err := rp.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Makespan != removed.Makespan {
+		t.Fatalf("makespan: zeroing %v, removal %v", got.Makespan, removed.Makespan)
+	}
+	for _, u := range rp.Tasks() {
+		if got.Start[u.ID] != removed.Start[u.ID] {
+			t.Fatalf("surviving task %d start: zeroing %v, removal %v", u.ID, got.Start[u.ID], removed.Start[u.ID])
 		}
 	}
 }

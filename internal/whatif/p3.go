@@ -105,6 +105,16 @@ func P3Annotate(p *core.Patch, opts P3Options) error {
 	return p3AnnotateInto(rep, p, opts, rounds)
 }
 
+// graphEditor is the write surface shared by *core.Graph and
+// *core.Patch: P3's annotation emits its surgery through it, so the
+// in-place rewrite (P3) and the clone-free patch form (P3Annotate) are
+// the same code — and therefore bit-equivalent by construction.
+type graphEditor interface {
+	NewTask(name string, kind trace.Kind, thread core.ThreadID, dur time.Duration) *core.Task
+	AppendTask(t *core.Task)
+	AddDependency(from, to *core.Task, kind core.DepKind) error
+}
+
 // p3AnnotateInto reads the repeated baseline rep and emits Algorithm
 // 7's push/pull annotation through ed (the repeated graph itself, or a
 // patch over it).

@@ -4,12 +4,15 @@ package whatif_test
 // structural what-if with a patch form — Distributed (Algorithm 6),
 // P3's annotation over a pre-repeated baseline (Algorithm 7, non-rewrite
 // form), and removal-form batchnorm restructuring (Algorithm 5) — the
-// clone-free patch must reproduce the clone+mutate form bit for bit:
-// same makespan, same start time for every task (baseline and appendix
-// IDs alike; Patch.NewTask allocates exactly the IDs a clone would
-// have), same per-thread end times, and an identical materialized
-// graph prediction. A -race sweep drives concurrent structural patches
-// over one shared baseline.
+// clone-free Patch evaluation of the Opt value must reproduce
+// core.ApplyOptimization on a private clone bit for bit: same makespan,
+// same start time for every task (baseline and appendix IDs alike;
+// Patch.NewTask allocates exactly the IDs a clone would have), same
+// per-thread end times, and an identical materialized graph prediction.
+// The clone path replays the recorded journal through the real Graph
+// primitives — genuine surgery, so the comparison pits the patch's
+// composite simulation view against a truly mutated graph. A -race
+// sweep drives concurrent structural patches over one shared baseline.
 
 import (
 	"fmt"
@@ -23,18 +26,16 @@ import (
 	"daydream/internal/whatif"
 )
 
-// patchEquivCase pairs a clone-path structural transform with its patch
-// form. base lets a case substitute a derived baseline (P3's annotation
-// runs over the Repeat-expanded graph).
+// patchEquivCase is one structural Opt value. base lets a case
+// substitute a derived baseline (P3's annotation runs over the
+// Repeat-expanded graph).
 type patchEquivCase struct {
-	name  string
-	base  func(t *testing.T, g *core.Graph) *core.Graph
-	clone func(*core.Graph) error
-	patch func(*core.Patch) error
+	name string
+	base func(t *testing.T, g *core.Graph) *core.Graph
+	opt  core.Optimization
 }
 
 func patchEquivCases() []patchEquivCase {
-	dist := whatif.DistributedOptions{Topology: topo4x1(10)}
 	p3 := whatif.P3Options{Topology: topo4x1(5), SliceBytes: 800 << 10, Rounds: 2}
 	fifo := whatif.P3Options{Topology: topo4x1(5), Rounds: 2}
 	repeated := func(t *testing.T, g *core.Graph) *core.Graph {
@@ -45,41 +46,11 @@ func patchEquivCases() []patchEquivCase {
 		}
 		return rep
 	}
-	// The p3 clone forms route through core.ApplyGraph, which replays
-	// the recorded journal onto the private graph through the real
-	// Graph primitives — genuine surgery, so the comparison pits the
-	// patch's composite simulation view against a truly mutated graph.
 	return []patchEquivCase{
-		{
-			name:  "distributed",
-			clone: func(c *core.Graph) error { return whatif.Distributed(c, dist) },
-			patch: func(p *core.Patch) error { return whatif.DistributedPatch(p, dist) },
-		},
-		{
-			name: "p3-annotate",
-			base: repeated,
-			clone: func(c *core.Graph) error {
-				return core.ApplyGraph(whatif.OptP3Annotate(p3), c)
-			},
-			patch: func(p *core.Patch) error { return whatif.P3Annotate(p, p3) },
-		},
-		{
-			name: "ps-fifo-annotate",
-			base: repeated,
-			clone: func(c *core.Graph) error {
-				return core.ApplyGraph(whatif.OptP3Annotate(fifo), c)
-			},
-			patch: func(p *core.Patch) error { return whatif.P3Annotate(p, fifo) },
-		},
-		{
-			name: "reconbn-removal",
-			clone: func(c *core.Graph) error {
-				return whatif.ReconBatchnorm(c, whatif.ReconBatchnormOptions{})
-			},
-			patch: func(p *core.Patch) error {
-				return whatif.ReconBatchnormPatch(p, whatif.ReconBatchnormOptions{})
-			},
-		},
+		{name: "distributed", opt: whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(10)})},
+		{name: "p3-annotate", base: repeated, opt: whatif.OptP3Annotate(p3)},
+		{name: "ps-fifo-annotate", base: repeated, opt: whatif.OptP3Annotate(fifo)},
+		{name: "reconbn-removal", opt: whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{})},
 	}
 }
 
@@ -104,15 +75,14 @@ func TestStructuralPatchEquivalenceAcrossZoo(t *testing.T) {
 
 func assertPatchEquivalence(t *testing.T, g *core.Graph, tc patchEquivCase) {
 	t.Helper()
-	c := g.Clone()
-	cloneErr := tc.clone(c)
+	c, cloneErr := core.ApplyOptimization(g.Clone(), tc.opt)
 	p := core.NewPatch(g)
-	patchErr := tc.patch(p)
+	patchErr := tc.opt.Apply(p)
 	if (cloneErr == nil) != (patchErr == nil) {
 		t.Fatalf("error mismatch: clone=%v patch=%v", cloneErr, patchErr)
 	}
 	if cloneErr != nil {
-		return // both forms reject the workload the same way
+		return // both paths reject the workload the same way
 	}
 
 	want, err := c.Simulate()

@@ -156,18 +156,19 @@ func TestParsedStackPredicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := core.NewOverlay(g)
-	if err := core.ApplyOverlay(opt, o); err != nil {
+	p := core.NewPatch(g)
+	if err := opt.Apply(p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.PredictIteration()
+	got, err := p.PredictIteration()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := g.Clone()
-	whatif.AMP(c)
-	if err := whatif.FusedAdam(c); err != nil {
-		t.Fatal(err)
+	for _, part := range []core.Optimization{whatif.OptAMP(), whatif.OptFusedAdam()} {
+		if _, err := core.ApplyOptimization(c, part); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want, err := c.PredictIteration()
 	if err != nil {

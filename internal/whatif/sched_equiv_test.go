@@ -68,15 +68,14 @@ func TestScheduledPatchEquivalenceAcrossZoo(t *testing.T) {
 
 func assertScheduledEquivalence(t *testing.T, g *core.Graph, tc patchEquivCase, sched core.Scheduler) {
 	t.Helper()
-	c := g.Clone()
-	cloneErr := tc.clone(c)
+	c, cloneErr := core.ApplyOptimization(g.Clone(), tc.opt)
 	p := core.NewPatch(g)
-	patchErr := tc.patch(p)
+	patchErr := tc.opt.Apply(p)
 	if (cloneErr == nil) != (patchErr == nil) {
 		t.Fatalf("error mismatch: clone=%v patch=%v", cloneErr, patchErr)
 	}
 	if cloneErr != nil {
-		return // both forms reject the workload the same way
+		return // both paths reject the workload the same way
 	}
 
 	want, err := c.Simulate(core.WithScheduler(sched))
@@ -124,8 +123,8 @@ func assertScheduledEquivalence(t *testing.T, g *core.Graph, tc patchEquivCase, 
 // TestOptVDNNSchedulerCarriedThroughSweep pins the scheduler-carrying
 // form end to end: a sweep scenario with OptVDNN (no SimOptions at all)
 // simulates under VDNNScheduler over the worker's patch, and must equal
-// the explicit clone path — clone, mutate with VDNN, simulate under the
-// same policy. An explicit WithScheduler in SimOptions overrides the
+// the explicit clone path — ApplyOptimization on a clone, simulated
+// under the same policy. An explicit WithScheduler in SimOptions overrides the
 // carried policy.
 func TestOptVDNNSchedulerCarriedThroughSweep(t *testing.T) {
 	g := profile(t, "vgg19", framework.PyTorch)
@@ -133,8 +132,8 @@ func TestOptVDNNSchedulerCarriedThroughSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Clone()
-	if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
+	c, err := core.ApplyOptimization(g.Clone(), whatif.OptVDNN(whatif.VDNNOptions{}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := c.PredictIteration(core.WithScheduler(whatif.VDNNScheduler{}))
@@ -163,10 +162,7 @@ func TestOptVDNNSchedulerCarriedThroughSweep(t *testing.T) {
 	def, err := sweep.Run(g, []sweep.Scenario{{
 		Name: "default-sched",
 		Transform: func(c *core.Graph) (*core.Graph, error) {
-			if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
-				return nil, err
-			}
-			return c, nil
+			return core.ApplyOptimization(c, whatif.OptVDNN(whatif.VDNNOptions{}))
 		},
 	}})
 	if err != nil {
@@ -213,10 +209,10 @@ func TestStackedRemovalThenVDNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := g.Clone()
-	if err := core.ApplyGraph(whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{}), c); err != nil {
+	if _, err := core.ApplyOptimization(c, whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
+	if _, err := core.ApplyOptimization(c, whatif.OptVDNN(whatif.VDNNOptions{})); err != nil {
 		t.Fatal(err)
 	}
 	want, err := c.PredictIteration(core.WithScheduler(whatif.VDNNScheduler{}))

@@ -1,13 +1,11 @@
 package whatif_test
 
-// Stack equivalence suite: for every zoo model, the composed
-// Stack(OptAMP(), OptFusedAdam()) what-if must be bit-identical to
-// applying the two optimizations sequentially on a clone — on both of
-// the stack's evaluation paths. Same makespan and same start time for
-// every task alive in the sequentially-mutated clone; the overlay path
-// keeps zeroed tasks in the graph (FusedAdam's zeroing model), so like
-// the single-optimization equivalence suite only makespan+starts are
-// compared there.
+// Stack equivalence suite: for every zoo model, a composed what-if such
+// as Stack(OptAMP(), OptFusedAdam()) must be bit-identical to applying
+// its parts one after the other with core.ApplyOptimization on a clone —
+// on both of the stack's evaluation paths, ApplyOptimization on a clone
+// and Apply on a shared-baseline Patch. Same makespan and same start
+// time for every task.
 
 import (
 	"testing"
@@ -19,34 +17,23 @@ import (
 )
 
 // stackCases lists composed what-ifs checked zoo-wide against their
-// sequential clone-path application.
+// parts' sequential clone-path application.
 func stackCases() []struct {
-	name       string
-	stack      core.Optimization
-	sequential []func(*core.Graph) error
+	name  string
+	parts []core.Optimization
 } {
 	profile := whatif.KernelProfile{"sgemm": 0}
 	return []struct {
-		name       string
-		stack      core.Optimization
-		sequential []func(*core.Graph) error
+		name  string
+		parts []core.Optimization
 	}{
 		{
 			name:  "amp+fusedadam",
-			stack: core.Stack(whatif.OptAMP(), whatif.OptFusedAdam()),
-			sequential: []func(*core.Graph) error{
-				func(g *core.Graph) error { whatif.AMP(g); return nil },
-				whatif.FusedAdam,
-			},
+			parts: []core.Optimization{whatif.OptAMP(), whatif.OptFusedAdam()},
 		},
 		{
 			name:  "amp+kprofile+reconbn",
-			stack: core.Stack(whatif.OptAMP(), whatif.OptKernelProfile(profile), whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{})),
-			sequential: []func(*core.Graph) error{
-				func(g *core.Graph) error { whatif.AMP(g); return nil },
-				func(g *core.Graph) error { whatif.ApplyKernelProfile(g, profile); return nil },
-				func(g *core.Graph) error { return whatif.ReconBatchnorm(g, whatif.ReconBatchnormOptions{}) },
-			},
+			parts: []core.Optimization{whatif.OptAMP(), whatif.OptKernelProfile(profile), whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{})},
 		},
 	}
 }
@@ -59,40 +46,38 @@ func TestStackEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range stackCases() {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					assertStackEquivalence(t, g, tc.stack, tc.sequential)
+					assertStackEquivalence(t, g, tc.parts)
 				})
 			}
 		})
 	}
 }
 
-func assertStackEquivalence(t *testing.T, g *core.Graph, stack core.Optimization, sequential []func(*core.Graph) error) {
+func assertStackEquivalence(t *testing.T, g *core.Graph, parts []core.Optimization) {
 	t.Helper()
+	stack := core.Stack(parts...)
 	if fp := stack.Footprint(); fp != core.TimingOnly {
 		t.Fatalf("stack of timing-only optimizations has footprint %v", fp)
 	}
 
-	// Reference: the optimizations applied one after the other on a
-	// clone, the way pre-Stack callers composed them.
+	// Reference: the parts applied one after the other on a clone.
 	seq := g.Clone()
 	var seqErr error
-	for _, apply := range sequential {
-		if seqErr = apply(seq); seqErr != nil {
+	for _, part := range parts {
+		if _, seqErr = core.ApplyOptimization(seq, part); seqErr != nil {
 			break
 		}
 	}
 
-	// Stack clone path (through the deprecated in-place adapter).
-	sc := g.Clone()
-	cloneErr := core.ApplyGraph(stack, sc)
-	// Stack overlay path over the shared baseline (through the
-	// deprecated timing-tier adapter).
-	o := core.NewOverlay(g)
-	overlayErr := core.ApplyOverlay(stack, o)
+	// Stack clone path.
+	sc, cloneErr := core.ApplyOptimization(g.Clone(), stack)
+	// Stack patch path over the shared baseline.
+	p := core.NewPatch(g)
+	patchErr := stack.Apply(p)
 
-	if (seqErr == nil) != (cloneErr == nil) || (seqErr == nil) != (overlayErr == nil) {
-		t.Fatalf("error mismatch: sequential=%v stack-clone=%v stack-overlay=%v",
-			seqErr, cloneErr, overlayErr)
+	if (seqErr == nil) != (cloneErr == nil) || (seqErr == nil) != (patchErr == nil) {
+		t.Fatalf("error mismatch: sequential=%v stack-clone=%v stack-patch=%v",
+			seqErr, cloneErr, patchErr)
 	}
 	if seqErr != nil {
 		return // all three forms reject the workload the same way
@@ -106,29 +91,24 @@ func assertStackEquivalence(t *testing.T, g *core.Graph, stack core.Optimization
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotOverlay, err := o.Simulate()
+	gotPatch, err := p.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotClone.Makespan != want.Makespan {
 		t.Fatalf("makespan: stack clone path %v, sequential %v", gotClone.Makespan, want.Makespan)
 	}
-	if gotOverlay.Makespan != want.Makespan {
-		t.Fatalf("makespan: stack overlay path %v, sequential %v", gotOverlay.Makespan, want.Makespan)
+	if gotPatch.Makespan != want.Makespan {
+		t.Fatalf("makespan: stack patch path %v, sequential %v", gotPatch.Makespan, want.Makespan)
 	}
-	// Start times of every task alive in the sequentially-mutated clone
-	// (IDs are preserved by Clone and left as holes by Remove).
 	for id := 0; id < seq.IDSpan(); id++ {
-		if seq.Task(id) == nil {
-			continue
-		}
 		if gotClone.Start[id] != want.Start[id] {
 			t.Fatalf("task %d start: stack clone path %v, sequential %v",
 				id, gotClone.Start[id], want.Start[id])
 		}
-		if gotOverlay.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: stack overlay path %v, sequential %v",
-				id, gotOverlay.Start[id], want.Start[id])
+		if gotPatch.Start[id] != want.Start[id] {
+			t.Fatalf("task %d start: stack patch path %v, sequential %v",
+				id, gotPatch.Start[id], want.Start[id])
 		}
 	}
 }

@@ -2,82 +2,51 @@ package whatif
 
 import (
 	"fmt"
-	"time"
 
 	"daydream/internal/core"
 	"daydream/internal/trace"
 	"daydream/internal/xpu"
 )
 
-// upgradeRatios validates the devices and returns the three scaling
-// ratios both DeviceUpgrade forms share.
-func upgradeRatios(from, to *xpu.Device) (compute, mem, pcie float64, err error) {
+// deviceUpgradeOverlay answers "would a faster GPU help?" (one of the
+// paper's introductory what-if questions) from an existing profile:
+// compute-bound kernels — identified by the same name convention
+// Algorithm 3 uses — scale by the devices' arithmetic-throughput ratio,
+// every other GPU task by the memory-bandwidth ratio, and host↔device
+// copies by the PCIe ratio, each clamped to the target's kernel floor.
+// CPU tasks are untouched, so the prediction exposes where an upgrade
+// would merely shift the bottleneck to the host — the same insight as
+// the paper's AMP analysis (§6.2). The rescaled durations are
+// copy-on-write deltas over the shared baseline, with the task list and
+// compute classification served by the memoized layer/phase index, so
+// device grids (many targets from one profile) neither clone nor
+// string-match anything.
+func deviceUpgradeOverlay(o *core.Overlay, from, to *xpu.Device) error {
 	if from == nil || to == nil {
-		return 0, 0, 0, fmt.Errorf("whatif: DeviceUpgrade: both devices are required")
+		return fmt.Errorf("whatif: DeviceUpgrade: both devices are required")
 	}
 	if from.FP32FLOPS <= 0 || from.MemBandwidth <= 0 || from.PCIeBandwidth <= 0 {
-		return 0, 0, 0, fmt.Errorf("whatif: DeviceUpgrade: source device %q has incomplete specs", from.Name)
+		return fmt.Errorf("whatif: DeviceUpgrade: source device %q has incomplete specs", from.Name)
 	}
-	return from.FP32FLOPS / to.FP32FLOPS,
-		from.MemBandwidth / to.MemBandwidth,
-		from.PCIeBandwidth / to.PCIeBandwidth, nil
-}
-
-// upgradeDuration applies one task's rescale: copies by the PCIe ratio,
-// compute-bound kernels by the arithmetic-throughput ratio, everything
-// else by the memory-bandwidth ratio, clamped to the target's floor.
-func upgradeDuration(d time.Duration, isMemcpy, isCompute bool, compute, mem, pcie float64, to *xpu.Device) time.Duration {
-	switch {
-	case isMemcpy:
-		d = scaleDuration(d, pcie)
-	case isCompute:
-		d = scaleDuration(d, compute)
-	default:
-		d = scaleDuration(d, mem)
-	}
-	if d < to.KernelFloor {
-		d = to.KernelFloor
-	}
-	return d
-}
-
-// DeviceUpgrade answers "would a faster GPU help?" (one of the paper's
-// introductory what-if questions) from an existing profile: compute-bound
-// kernels — identified by the same name convention Algorithm 3 uses —
-// scale by the devices' arithmetic-throughput ratio, every other GPU task
-// by the memory-bandwidth ratio, and host↔device copies by the PCIe
-// ratio. CPU tasks are untouched, so the prediction exposes where an
-// upgrade would merely shift the bottleneck to the host — the same
-// insight as the paper's AMP analysis (§6.2).
-func DeviceUpgrade(g *core.Graph, from, to *xpu.Device) error {
-	compute, mem, pcie, err := upgradeRatios(from, to)
-	if err != nil {
-		return err
-	}
-	for _, u := range g.Select(core.OnGPUPred) {
-		u.Duration = upgradeDuration(u.Duration,
-			u.Kind == trace.KindMemcpy, core.ComputeIntensivePred(u),
-			compute, mem, pcie, to)
-	}
-	return nil
-}
-
-// DeviceUpgradeOverlay is DeviceUpgrade's clone-free form: the rescaled
-// durations are recorded as copy-on-write deltas over the shared
-// baseline, with the task list and compute classification served by the
-// memoized layer/phase index — device grids (many targets from one
-// profile) neither clone nor string-match anything.
-func DeviceUpgradeOverlay(o *core.Overlay, from, to *xpu.Device) error {
-	compute, mem, pcie, err := upgradeRatios(from, to)
-	if err != nil {
-		return err
-	}
+	compute := from.FP32FLOPS / to.FP32FLOPS
+	mem := from.MemBandwidth / to.MemBandwidth
+	pcie := from.PCIeBandwidth / to.PCIeBandwidth
 	ix := o.Base().LayerPhaseIndex()
 	isCompute := ix.GPUComputeBound()
 	for i, u := range ix.GPUTasks() {
-		o.SetDuration(u, upgradeDuration(o.Duration(u),
-			u.Kind == trace.KindMemcpy, isCompute[i],
-			compute, mem, pcie, to))
+		d := o.Duration(u)
+		switch {
+		case u.Kind == trace.KindMemcpy:
+			d = scaleDuration(d, pcie)
+		case isCompute[i]:
+			d = scaleDuration(d, compute)
+		default:
+			d = scaleDuration(d, mem)
+		}
+		if d < to.KernelFloor {
+			d = to.KernelFloor
+		}
+		o.SetDuration(u, d)
 	}
 	return nil
 }

@@ -24,7 +24,7 @@ func TestDeviceUpgradePredictsMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := whatif.DeviceUpgrade(g, xpu.RTX2080Ti(), xpu.V100()); err != nil {
+	if err := apply(g, whatif.OptDeviceUpgrade(xpu.RTX2080Ti(), xpu.V100())); err != nil {
 		t.Fatal(err)
 	}
 	predicted, err := g.PredictIteration()
@@ -45,7 +45,7 @@ func TestDeviceUpgradeDowngradeSlows(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	base := predict(t, g.Clone())
 	c := g.Clone()
-	if err := whatif.DeviceUpgrade(c, xpu.RTX2080Ti(), xpu.P4000()); err != nil {
+	if err := apply(c, whatif.OptDeviceUpgrade(xpu.RTX2080Ti(), xpu.P4000())); err != nil {
 		t.Fatal(err)
 	}
 	if down := predict(t, c); down <= base {
@@ -55,10 +55,10 @@ func TestDeviceUpgradeDowngradeSlows(t *testing.T) {
 
 func TestDeviceUpgradeErrors(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
-	if err := whatif.DeviceUpgrade(g, nil, xpu.V100()); err == nil {
+	if err := apply(g, whatif.OptDeviceUpgrade(nil, xpu.V100())); err == nil {
 		t.Error("nil source device accepted")
 	}
-	if err := whatif.DeviceUpgrade(g, &xpu.Device{}, xpu.V100()); err == nil {
+	if err := apply(g, whatif.OptDeviceUpgrade(&xpu.Device{}, xpu.V100())); err == nil {
 		t.Error("incomplete source device accepted")
 	}
 }
@@ -66,11 +66,14 @@ func TestDeviceUpgradeErrors(t *testing.T) {
 func TestApplyKernelProfile(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	fixed := 123 * time.Microsecond
-	n := whatif.ApplyKernelProfile(g, whatif.KernelProfile{"scudnn_winograd": fixed})
-	if n == 0 {
+	if err := apply(g, whatif.OptKernelProfile(whatif.KernelProfile{"scudnn_winograd": fixed})); err != nil {
+		t.Fatal(err)
+	}
+	matched := g.Select(core.NameContains("scudnn_winograd"))
+	if len(matched) == 0 {
 		t.Fatal("no kernels matched")
 	}
-	for _, u := range g.Select(core.NameContains("scudnn_winograd")) {
+	for _, u := range matched {
 		if u.Duration != fixed {
 			t.Fatalf("kernel %v not updated", u)
 		}
@@ -81,10 +84,12 @@ func TestApplyKernelProfileSpecificity(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	short := 10 * time.Microsecond
 	long := 99 * time.Microsecond
-	whatif.ApplyKernelProfile(g, whatif.KernelProfile{
+	if err := apply(g, whatif.OptKernelProfile(whatif.KernelProfile{
 		"scudnn":          short,
 		"scudnn_winograd": long, // more specific: must win for winograd kernels
-	})
+	})); err != nil {
+		t.Fatal(err)
+	}
 	for _, u := range g.Select(core.NameContains("scudnn_winograd")) {
 		if u.Duration != long {
 			t.Fatal("longer (more specific) key did not win")
@@ -99,8 +104,14 @@ func TestApplyKernelProfileSpecificity(t *testing.T) {
 
 func TestApplyKernelProfileEmpty(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
-	if whatif.ApplyKernelProfile(g, nil) != 0 {
-		t.Fatal("empty profile updated tasks")
+	c := g.Clone()
+	if err := apply(c, whatif.OptKernelProfile(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range g.Tasks() {
+		if c.Task(u.ID).Duration != u.Duration {
+			t.Fatalf("empty profile updated task %v", u)
+		}
 	}
 }
 
@@ -108,8 +119,17 @@ func TestScaleByName(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	base := predict(t, g.Clone())
 	c := g.Clone()
-	if n := whatif.ScaleByName(c, "sgemm", 0.5); n == 0 {
-		t.Fatal("no GEMMs scaled")
+	if err := apply(c, whatif.OptScale("sgemm", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	gemms := g.Select(core.And(core.OnGPUPred, core.NameContains("sgemm")))
+	if len(gemms) == 0 {
+		t.Fatal("no GEMMs to scale")
+	}
+	for _, u := range gemms {
+		if c.Task(u.ID).Duration != u.Duration/2 {
+			t.Fatalf("GEMM %v not halved", u)
+		}
 	}
 	if sped := predict(t, c); sped >= base {
 		t.Fatal("halving GEMMs predicted no gain")

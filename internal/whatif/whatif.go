@@ -1,7 +1,10 @@
 // Package whatif implements the paper's optimization models (§5 and the
-// appendix): each function transforms a baseline kernel-level dependency
+// appendix): each model transforms a baseline kernel-level dependency
 // graph using only the core package's primitives — Select, Scale, Insert,
 // Remove and Schedule overrides — exactly as Algorithms 3–12 describe.
+// The registered models are reached through their Opt values, which
+// record the edits on a copy-on-write core.Patch; BlueConnect, DGC and
+// MetaFlow still mutate a private graph in place.
 // Nothing in this package consults the ground-truth engine; prediction
 // errors measured by internal/exp are therefore genuine.
 package whatif

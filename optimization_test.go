@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"daydream"
+	"daydream/internal/core"
 )
 
 // profileGraph is the shared fixture: one profiled model graph.
@@ -22,26 +23,43 @@ func profileGraph(tb testing.TB, model string) *daydream.Graph {
 	return g
 }
 
+// ampInPlace is Algorithm 3 in Compare's in-place func form: OptAMP
+// applied to the private clone Compare hands it.
+func ampInPlace(c *daydream.Graph) error {
+	_, err := core.ApplyOptimization(c, daydream.OptAMP())
+	return err
+}
+
+// ampOverlay is Algorithm 3 in Compare's overlay func form, written
+// against the public Overlay surface: compute-bound GPU kernels shrink
+// 3×, every other GPU kernel 2×.
+func ampOverlay(o *daydream.Overlay) error {
+	ix := o.Base().LayerPhaseIndex()
+	compute := ix.GPUComputeBound()
+	for i, u := range ix.GPUTasks() {
+		if compute[i] {
+			o.SetDuration(u, o.Duration(u)/3)
+		} else {
+			o.SetDuration(u, o.Duration(u)/2)
+		}
+	}
+	return nil
+}
+
 // TestCompareAcceptsEveryWhatIfForm pins the unified Compare: the
-// Optimization value, the legacy structural func, and the overlay func
-// all predict bit-identically for the same optimization.
+// Optimization value, the in-place func, and the overlay func all
+// predict bit-identically for the same optimization.
 func TestCompareAcceptsEveryWhatIfForm(t *testing.T) {
 	g := profileGraph(t, "resnet50")
 	base1, fromOpt, err := daydream.Compare(g, daydream.OptAMP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2, fromFunc, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return nil
-	})
+	base2, fromFunc, err := daydream.Compare(g, ampInPlace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base3, fromOverlay, err := daydream.Compare(g, func(o *daydream.Overlay) error {
-		daydream.AMPOverlay(o)
-		return nil
-	})
+	base3, fromOverlay, err := daydream.Compare(g, ampOverlay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +90,7 @@ func TestCompareAcceptsEveryWhatIfForm(t *testing.T) {
 	// Defined function types keep working, as they did when Compare's
 	// parameter was the function type itself.
 	type myWhatIf func(*daydream.Graph) error
-	_, fromDefined, err := daydream.Compare(g, myWhatIf(func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return nil
-	}))
+	_, fromDefined, err := daydream.Compare(g, myWhatIf(ampInPlace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +113,7 @@ func TestCompareNoopStack(t *testing.T) {
 }
 
 // TestStackMatchesSequentialCompare checks the composed what-if against
-// manually chaining the free functions on a clone.
+// applying its parts one after the other to a private clone.
 func TestStackMatchesSequentialCompare(t *testing.T) {
 	g := profileGraph(t, "bert-base")
 	base, stacked, err := daydream.Compare(g, daydream.Stack(daydream.OptAMP(), daydream.OptFusedAdam()))
@@ -106,8 +121,11 @@ func TestStackMatchesSequentialCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, sequential, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return daydream.FusedAdam(c)
+		if err := ampInPlace(c); err != nil {
+			return err
+		}
+		_, err := core.ApplyOptimization(c, daydream.OptFusedAdam())
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
