@@ -473,9 +473,16 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			sched := core.OptScheduler(opt)
 			scratch := core.NewSimScratch()
 			buf := &daydream.SimResult{}
+			opts := []core.SimOption{core.WithScratch(scratch), core.WithResultBuffer(buf),
+				core.WithScheduler(sched), core.WithRoundWindow(window)}
+			// One warm-up run sizes the scratch and result buffer, so
+			// the per-op figures count the steady state, not the setup.
+			if _, err := p.Simulate(opts...); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf),
-					core.WithScheduler(sched), core.WithRoundWindow(window))
+				res, err := p.Simulate(opts...)
 				if err != nil {
 					b.Fatal(err)
 				}

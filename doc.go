@@ -53,9 +53,9 @@
 // Because a single profile answers arbitrarily many what-if questions,
 // the package is built to make each additional question cheap. The
 // dependency graph uses dense slice-indexed storage (task IDs are array
-// indices, adjacency is CSR-style on the tasks), so Clone is a
-// near-memcpy and Simulate runs a binary-heap frontier over flat
-// arrays; a Patch simulates timing-only edits on the pure-overlay fast
+// indices, adjacency lives as pointer slices on the tasks), so Clone is
+// a near-memcpy, and Simulate runs a binary-heap frontier over a flat
+// int32 CSR view memoized once per baseline; a Patch simulates timing-only edits on the pure-overlay fast
 // path and structural edits through masked/appendix arrays. Sweep fans
 // a whole scenario grid out over a worker pool sharing one baseline,
 // with every Opt on the clone-free patch path — only graph-replacing

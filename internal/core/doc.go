@@ -23,6 +23,18 @@
 //
 // # Simulation tiers
 //
+// Simulation never chases task pointers. Each graph memoizes a
+// structure-only flat view — int32 CSR child adjacency, in-degrees,
+// the root list and the task → thread-ordinal table — built on first
+// use, published atomically and shared by every overlay, patch and
+// sweep worker bound to that baseline (Clone shares it too). Every
+// structural mutator drops it; timings are never part of it, since
+// Task.Duration, Gap and Priority are exported and may be written in
+// place. Graph.Simulate and Overlay.Simulate run one default-policy
+// heap loop over that view and flat per-ID timing arrays, with an
+// ID-keyed heap; Patch.Simulate reads the same CSR for baseline edges
+// and adds its masks and appendix on top.
+//
 // One Algorithm-1 semantics, five evaluation tiers, cheapest first.
 // Every tier is bit-identical to cloning the baseline, mutating the
 // clone and cold-simulating it; they differ only in how much work a
@@ -44,7 +56,7 @@
 //   - patch — Patch.Simulate: the composite structural view (appendix
 //     IDs, masked removals) over the overlay's timing tier, ~1.0ms for
 //     the Distributed insertion scenario.
-//   - cold — Graph.Simulate of the baseline itself, ~1.6ms; also the
+//   - cold — Graph.Simulate of the baseline itself, ~0.7ms; also the
 //     replay tier for no-op scenarios in a sweep.
 //   - clone — materialize a private mutated copy, ~7.7ms per scenario;
 //     only for rewriters that must replace the graph (OptP3's Repeat

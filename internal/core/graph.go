@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"daydream/internal/trace"
@@ -14,9 +15,13 @@ import (
 //
 // Storage is dense: task IDs are indices into a slice (a removed task
 // leaves a nil hole), and adjacency lives on the tasks themselves as
-// parallel children/childKinds slices. This makes Clone a near-memcpy
-// and Simulate array-indexed — the properties the concurrent what-if
-// sweep subsystem (internal/sweep) builds on.
+// parallel parents/children/childKinds pointer slices, which the
+// editing primitives splice. Simulation does not chase those pointers:
+// it runs over a structure-only flat view — int32 CSR child adjacency,
+// in-degrees, roots and thread ordinals — built once on first use and
+// memoized on the graph, so every overlay, patch and sweep worker bound
+// to one baseline shares it. Any structural mutation drops the view;
+// timings are never part of it.
 type Graph struct {
 	// Meta carries workload metadata copied from the source trace,
 	// needed by what-if transformations (gradient sizes, bucketing).
@@ -31,6 +36,12 @@ type Graph struct {
 	// deliberately leaves the copy's memo empty: the index holds task
 	// pointers into the graph it was built from.
 	layerIdx layerIdxMemo
+
+	// flatIdx memoizes the structure-only flat view the simulation
+	// kernels run over (see flat.go). Every structural mutator drops
+	// it; Clone shares it, since a clone has the same IDs, edges and
+	// threads.
+	flatIdx atomic.Pointer[flatView]
 
 	// memAnnot memoizes the opaque memory-annotation snapshot
 	// internal/mem attaches through SetMemAnnotation (see memhook.go).
@@ -142,6 +153,7 @@ func (g *Graph) NewTask(name string, kind trace.Kind, thread ThreadID, dur time.
 	g.tasks = append(g.tasks, t)
 	g.live++
 	g.InvalidateLayerPhaseIndex()
+	g.invalidateFlat()
 	return t
 }
 
@@ -158,6 +170,7 @@ func (g *Graph) seq(tid ThreadID) *seqList {
 // AppendTask places t at the tail of its thread's sequence, adding the
 // sequence dependency from the previous tail.
 func (g *Graph) AppendTask(t *Task) {
+	g.invalidateFlat()
 	l := g.seq(t.Thread)
 	if l.tail != nil {
 		t.seqPrev = l.tail
@@ -178,6 +191,7 @@ func (g *Graph) InsertAfter(prev, t *Task) error {
 	if !g.containsTask(prev) {
 		return fmt.Errorf("core: InsertAfter: anchor %v not in graph", prev)
 	}
+	g.invalidateFlat()
 	t.Thread = prev.Thread
 	next := prev.seqNext
 	t.seqPrev = prev
@@ -203,6 +217,7 @@ func (g *Graph) InsertBefore(next, t *Task) error {
 		return g.InsertAfter(prev, t)
 	}
 	// Insert at head.
+	g.invalidateFlat()
 	t.Thread = next.Thread
 	l := g.seq(t.Thread)
 	t.seqNext = next
@@ -259,6 +274,7 @@ func (g *Graph) addEdge(from, to *Task, kind DepKind) {
 	if hasEdge(from, to) {
 		return
 	}
+	g.invalidateFlat()
 	from.children = append(from.children, to)
 	from.childKinds = append(from.childKinds, kind)
 	to.parents = append(to.parents, from)
@@ -268,6 +284,7 @@ func (g *Graph) addEdge(from, to *Task, kind DepKind) {
 func (g *Graph) removeEdge(from, to *Task) {
 	for i, c := range from.children {
 		if c == to {
+			g.invalidateFlat()
 			from.children = append(from.children[:i], from.children[i+1:]...)
 			from.childKinds = append(from.childKinds[:i], from.childKinds[i+1:]...)
 			to.parents = removeTask(to.parents, from)
@@ -401,6 +418,7 @@ func (g *Graph) Remove(t *Task) {
 	g.tasks[t.ID] = nil
 	g.live--
 	g.InvalidateLayerPhaseIndex()
+	g.invalidateFlat()
 }
 
 // Select returns the tasks matching the predicate, in creation order
@@ -533,5 +551,6 @@ func (g *Graph) Clone() *Graph {
 	for tid, l := range g.threads {
 		c.threads[tid] = &seqList{head: remap(l.head), tail: remap(l.tail)}
 	}
+	c.flatIdx.Store(g.flatIdx.Load())
 	return c
 }

@@ -18,11 +18,13 @@ import (
 // Edits are stored sparsely (a map keyed by task ID) while few, and
 // densely (flat per-ID slices) past a crossover, so both a two-kernel
 // profile tweak and an all-GPU-task rescale stay cheap. The overlay
-// also snapshots the baseline's timing arrays and thread layout once
-// per binding, so densification and simulation are memcpy-and-index
-// work rather than pointer chasing. An Overlay is not safe for
-// concurrent use itself; the sharing model is one overlay per goroutine
-// over one shared baseline. Reset rebinds an overlay to a (possibly
+// also snapshots the baseline's timing arrays once per binding, and
+// simulates over the baseline's memoized flat view (CSR adjacency and
+// thread layout, shared by every overlay on that baseline), so
+// densification and simulation are memcpy-and-index work rather than
+// pointer chasing. An Overlay is not safe for concurrent use itself;
+// the sharing model is one overlay per goroutine over one shared
+// baseline. Reset rebinds an overlay to a (possibly
 // different) baseline while keeping its storage, which is how the sweep
 // worker pool makes scenario evaluation allocation-free.
 type Overlay struct {
@@ -49,15 +51,15 @@ type Overlay struct {
 	// materialization cache — compare generations to invalidate.
 	gen uint64
 
-	// Immutable per-binding snapshot of the baseline: flat timing
-	// arrays plus the task → thread-ordinal layout, built once when
-	// first needed and reused by every subsequent densify/simulate.
-	snapBase  *Graph
-	baseDur   []time.Duration
-	baseGap   []time.Duration
-	basePrio  []int
-	threadOf  []int32
-	threadIDs []ThreadID
+	// Immutable per-binding snapshot of the baseline's flat timing
+	// arrays, built once when first needed and reused by every
+	// subsequent densify/simulate. Timings are snapshotted per binding
+	// rather than memoized on the graph because Task.Duration/Gap/
+	// Priority are exported and may be written in place.
+	snapBase *Graph
+	baseDur  []time.Duration
+	baseGap  []time.Duration
+	basePrio []int
 }
 
 // editDur/editGap/editPrio mark which fields of an overlayEdit are set.
@@ -110,9 +112,8 @@ func (o *Overlay) Reset(g *Graph) {
 // generation returns the edit counter (see gen).
 func (o *Overlay) generation() uint64 { return o.gen }
 
-// snapshot builds (once per binding) the flat baseline timing arrays
-// and the thread layout. The baseline must not be mutated while the
-// overlay is bound to it.
+// snapshot builds (once per binding) the flat baseline timing arrays.
+// The baseline must not be mutated while the overlay is bound to it.
 func (o *Overlay) snapshot() {
 	if o.snapBase == o.base {
 		return
@@ -122,22 +123,10 @@ func (o *Overlay) snapshot() {
 	o.baseDur = growDurations(o.baseDur, n)
 	o.baseGap = growDurations(o.baseGap, n)
 	o.basePrio = growInts(o.basePrio, n)
-	o.threadOf = growInt32s(o.threadOf, n)
-	o.threadIDs = o.threadIDs[:0]
-	ord := make(map[ThreadID]int32, len(g.threads))
 	for id, t := range g.tasks {
-		if t == nil {
-			o.threadOf[id] = -1
-			continue
+		if t != nil {
+			o.baseDur[id], o.baseGap[id], o.basePrio[id] = t.Duration, t.Gap, t.Priority
 		}
-		o.baseDur[id], o.baseGap[id], o.basePrio[id] = t.Duration, t.Gap, t.Priority
-		ti, ok := ord[t.Thread]
-		if !ok {
-			ti = int32(len(o.threadIDs))
-			ord[t.Thread] = ti
-			o.threadIDs = append(o.threadIDs, t.Thread)
-		}
-		o.threadOf[id] = ti
 	}
 	o.snapBase = g
 }
@@ -161,6 +150,17 @@ func (o *Overlay) crossover() int {
 // re-simulation pay off?" signal before building warm state;
 // IncrementalSim.ReSimulate applies its own exact per-call cutoff
 // regardless.
+//
+// Known routing fault: dense mode is sticky across Reset on the same
+// baseline, so DenseEdits keeps reporting true for every later delta
+// on that baseline, however sparse. A sweep worker that has answered
+// one bulk-edit question (AMP) therefore routes every later question
+// on that baseline past the incremental tier; on perfbench
+// explore-timing, sweep.tier.incremental reads 0. Making Reset drop
+// dense mode is not enough on its own: measured, it raised
+// explore-timing's peak heap from 13.7 to 15.9 MiB (+16%), because
+// every worker then builds a warm IncrementalSim. The fix needs a
+// slimmer warm state first.
 func (o *Overlay) DenseEdits() bool { return o.dense }
 
 // EstimateConeSize estimates, before any warm schedule exists, the
@@ -336,13 +336,15 @@ func (o *Overlay) fillTiming(dur, gap []time.Duration) {
 	}
 }
 
-// fillPriority writes the effective per-ID priorities into prio, or
-// returns nil when no priority was overlaid (the caller then reads
-// Task.Priority directly). The caller has run snapshot().
-func (o *Overlay) fillPriority(prio []int) []int {
+// effPriority returns the effective per-ID priorities: the baseline
+// snapshot itself when no priority was overlaid, else buf (sized to
+// the baseline's ID span) filled with them. The caller has run
+// snapshot() and must not write the result.
+func (o *Overlay) effPriority(buf []int) []int {
 	if !o.prioEdited {
-		return nil
+		return o.basePrio
 	}
+	prio := buf
 	if o.dense {
 		copy(prio, o.prio)
 		return prio
@@ -386,9 +388,11 @@ func growInt32s(s []int32, n int) []int32 {
 // timings, so SimResult.Finish, TaskDuration and CriticalPath see the
 // overlaid values. Results are bit-identical to cloning the baseline,
 // applying the same edits to the clone's tasks, and simulating the
-// clone. Thread progress is tracked in a flat per-ordinal array from
-// the baseline snapshot instead of a map, which makes the overlay loop
-// faster than the clone path's even before the saved Clone.
+// clone. The default policy runs the same heap loop as Graph.Simulate,
+// over the baseline's memoized flat view (int32 CSR adjacency, root
+// list, thread ordinals — built once per baseline and shared by every
+// overlay, patch and sweep worker bound to it) and this overlay's flat
+// effective timings, so the loop chases no task pointers.
 func (o *Overlay) Simulate(opts ...SimOption) (*SimResult, error) {
 	var so simOptions
 	for _, fn := range opts {
@@ -404,7 +408,8 @@ func (o *Overlay) Simulate(opts ...SimOption) (*SimResult, error) {
 	o.snapshot()
 	scratch := so.scratch
 	if scratch == nil {
-		scratch = &SimScratch{}
+		scratch = scratchPool.Get().(*SimScratch)
+		defer scratchPool.Put(scratch)
 	}
 	n := len(g.tasks)
 	scratch.ensure(n)
@@ -437,101 +442,11 @@ func (o *Overlay) Simulate(opts ...SimOption) (*SimResult, error) {
 	if s := customScheduler(so.scheduler); s != nil {
 		return simulateScheduled(o, s, scratch, res, so.ctx)
 	}
-	var prio []int
 	if o.prioEdited {
 		scratch.prio = growInts(scratch.prio, n)
-		prio = o.fillPriority(scratch.prio)
 	}
-
-	ref, earliest := scratch.ref, scratch.earliest
-	for id, t := range g.tasks {
-		if t == nil {
-			continue
-		}
-		ref[id] = len(t.parents)
-		earliest[id] = 0
-	}
-
-	threadOf := o.threadOf
-	// Per-thread progress, -1 = thread not yet touched (so the result
-	// map gets exactly the entries a plain simulation would).
-	tEnds := growDurations(scratch.threadEnds, len(o.threadIDs))
-	scratch.threadEnds = tEnds
-	for i := range tEnds {
-		tEnds[i] = -1
-	}
-	taskPrio := func(t *Task) int {
-		if prio != nil {
-			return prio[t.ID]
-		}
-		return t.Priority
-	}
-	h := scratch.heap
-	for _, t := range g.tasks {
-		if t != nil && len(t.parents) == 0 {
-			h = heapPush(h, heapEntry{0, taskPrio(t), t})
-		}
-	}
-	executed := 0
-	for len(h) > 0 {
-		var e heapEntry
-		e, h = heapPop(h)
-		u := e.t
-		start := earliest[u.ID]
-		if p := tEnds[threadOf[u.ID]]; p > start {
-			start = p
-		}
-		if start > e.key {
-			h = heapPush(h, heapEntry{start, e.prio, u})
-			continue
-		}
-		end := start + dur[u.ID] + gap[u.ID]
-		if res.win == nil {
-			res.Start[u.ID] = start
-		} else {
-			res.win.record(u, start, dur[u.ID], gap[u.ID])
-		}
-		tEnds[threadOf[u.ID]] = end
-		if end > res.Makespan {
-			res.Makespan = end
-		}
-		executed++
-		if so.ctx != nil && executed%cancelCheckInterval == 0 {
-			if cerr := so.ctx.Err(); cerr != nil {
-				scratch.heap = h[:0]
-				return nil, ContextError(cerr)
-			}
-		}
-		for _, c := range u.children {
-			if end > earliest[c.ID] {
-				earliest[c.ID] = end
-			}
-			ref[c.ID]--
-			if ref[c.ID] == 0 {
-				key := earliest[c.ID]
-				if p := tEnds[threadOf[c.ID]]; p > key {
-					key = p
-				}
-				h = heapPush(h, heapEntry{key, taskPrio(c), c})
-			}
-		}
-	}
-	scratch.heap = h[:0]
-	for i, end := range tEnds {
-		if end >= 0 {
-			res.ThreadEnd[o.threadIDs[i]] = end
-		}
-	}
-	if executed != g.live {
-		var blocked []*Task
-		for id, t := range g.tasks {
-			if t != nil && ref[id] > 0 {
-				blocked = append(blocked, t)
-			}
-		}
-		return nil, newStallError(executed, g.live, blocked)
-	}
-	return res, nil
+	prio := o.effPriority(scratch.prio)
+	return simulateFlat(g.flat(), g.tasks, g.live, dur, gap, prio, scratch, res, &so)
 }
 
 // Materialize returns a private clone of the baseline with the

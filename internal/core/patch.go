@@ -771,7 +771,8 @@ func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 	n := baseSpan + len(p.added)
 	scratch := so.scratch
 	if scratch == nil {
-		scratch = &SimScratch{}
+		scratch = scratchPool.Get().(*SimScratch)
+		defer scratchPool.Put(scratch)
 	}
 	scratch.ensure(n)
 
@@ -806,21 +807,22 @@ func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 	if s := customScheduler(so.scheduler); s != nil {
 		return simulateScheduled(p, s, scratch, res, so.ctx)
 	}
-	var prio []int
-	if o.prioEdited {
-		scratch.prio = growInts(scratch.prio, n)
-		o.fillPriority(scratch.prio[:baseSpan])
-		for i, t := range p.added {
-			scratch.prio[baseSpan+i] = t.Priority
-		}
-		prio = scratch.prio
+	// Effective priorities: the timing tier's for baseline IDs (filled
+	// in place, or the snapshot copied in), the tasks' own for the
+	// appendix.
+	prio := growInts(scratch.prio, n)
+	scratch.prio = prio
+	copy(prio, o.effPriority(prio[:baseSpan]))
+	for i, t := range p.added {
+		prio[baseSpan+i] = t.Priority
 	}
 
-	// Thread layout: the overlay snapshot's ordinals extended with any
-	// threads only the appendix uses.
-	p.threadIDs = append(p.threadIDs[:0], o.threadIDs...)
+	// Thread layout: the baseline's ordinals extended with any threads
+	// only the appendix uses.
+	fv := g.flat()
+	p.threadIDs = append(p.threadIDs[:0], fv.threadIDs...)
 	p.threadOf = growInt32s(p.threadOf, n)
-	copy(p.threadOf, o.threadOf[:baseSpan])
+	copy(p.threadOf, fv.threadOf)
 	for i, t := range p.added {
 		ti := int32(-1)
 		for j, tid := range p.threadIDs {
@@ -852,37 +854,33 @@ func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 		p.outEdges[id] = list
 	}
 	maskRemoved, remOut, outEdges := p.maskRemoved, p.remOut, p.outEdges
+	// baseLive reports whether the baseline edge u → c survives the
+	// patch (u itself is live).
+	baseLive := func(u, c int32) bool {
+		return !maskRemoved[c] && (!remOut[u] || p.edgeLive(int(u), int(c)))
+	}
 
-	// Reference counts and earliest starts over the effective edge set.
+	// Reference counts and earliest starts over the effective edge set:
+	// the baseline in-degrees as they are, or — once tasks or edges are
+	// masked — recounted over the surviving baseline edges.
 	ref, earliest := scratch.ref, scratch.earliest
-	hasRemovals := len(p.removed) > 0
-	hasEdgeRemovals := len(p.removedEdges) > 0
-	for id, t := range g.tasks {
-		earliest[id] = 0
-		if t == nil || maskRemoved[id] {
-			ref[id] = 0
-			continue
-		}
-		np := len(t.parents)
-		if hasRemovals || hasEdgeRemovals {
-			np = 0
-			for _, q := range t.parents {
-				if maskRemoved[q.ID] {
-					continue
+	clear(earliest)
+	if len(p.removed) == 0 && len(p.removedEdges) == 0 {
+		copy(ref, fv.indeg)
+	} else {
+		clear(ref[:baseSpan])
+		for id, t := range g.tasks {
+			if t == nil || maskRemoved[id] {
+				continue
+			}
+			for _, c := range fv.children(int32(id)) {
+				if baseLive(int32(id), c) {
+					ref[c]++
 				}
-				if remOut[q.ID] && !p.edgeLive(q.ID, id) {
-					continue
-				}
-				np++
 			}
 		}
-		ref[id] = np
 	}
-	for i := range p.added {
-		id := baseSpan + i
-		earliest[id] = 0
-		ref[id] = 0
-	}
+	clear(ref[baseSpan:])
 	// Patch-added in-edges contribute indegree only when their source is
 	// live — the same liveness rule the relax loop and the scheduled
 	// path's eachChild apply, so the two simulation paths can never
@@ -902,45 +900,55 @@ func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 	tEnds := growDurations(scratch.threadEnds, len(p.threadIDs))
 	scratch.threadEnds = tEnds
 	for i := range tEnds {
-		tEnds[i] = -1
-	}
-	taskPrio := func(t *Task) int {
-		if prio != nil {
-			return prio[t.ID]
-		}
-		return t.Priority
+		tEnds[i] = untouched
 	}
 	h := scratch.heap
 	for id, t := range g.tasks {
 		if t != nil && !maskRemoved[id] && ref[id] == 0 {
-			h = heapPush(h, heapEntry{0, taskPrio(t), t})
+			h = heapPush(h, heapEntry{0, prio[id], int32(id)})
 		}
 	}
-	for i, t := range p.added {
-		if id := baseSpan + i; !maskRemoved[id] && ref[id] == 0 {
-			h = heapPush(h, heapEntry{0, taskPrio(t), t})
+	for id := baseSpan; id < n; id++ {
+		if !maskRemoved[id] && ref[id] == 0 {
+			h = heapPush(h, heapEntry{0, prio[id], int32(id)})
+		}
+	}
+	// One relax closure for the whole run; end is threaded through a
+	// local.
+	var end time.Duration
+	relax := func(c int32) {
+		if end > earliest[c] {
+			earliest[c] = end
+		}
+		ref[c]--
+		if ref[c] == 0 {
+			key := earliest[c]
+			if pe := tEnds[threadOf[c]]; pe > key {
+				key = pe
+			}
+			h = heapPush(h, heapEntry{key, prio[c], c})
 		}
 	}
 	executed := 0
 	for len(h) > 0 {
 		var e heapEntry
 		e, h = heapPop(h)
-		u := e.t
-		start := earliest[u.ID]
-		if pe := tEnds[threadOf[u.ID]]; pe > start {
+		u := e.id
+		start := earliest[u]
+		if pe := tEnds[threadOf[u]]; pe > start {
 			start = pe
 		}
 		if start > e.key {
 			h = heapPush(h, heapEntry{start, e.prio, u})
 			continue
 		}
-		end := start + dur[u.ID] + gap[u.ID]
+		end = start + dur[u] + gap[u]
 		if res.win == nil {
-			res.Start[u.ID] = start
+			res.Start[u] = start
 		} else {
-			res.win.record(u, start, dur[u.ID], gap[u.ID])
+			res.win.record(p.taskAt(int(u)), start, dur[u], gap[u])
 		}
-		tEnds[threadOf[u.ID]] = end
+		tEnds[threadOf[u]] = end
 		if end > res.Makespan {
 			res.Makespan = end
 		}
@@ -951,58 +959,44 @@ func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 				return nil, ContextError(cerr)
 			}
 		}
-		relax := func(c *Task) {
-			if end > earliest[c.ID] {
-				earliest[c.ID] = end
-			}
-			ref[c.ID]--
-			if ref[c.ID] == 0 {
-				key := earliest[c.ID]
-				if pe := tEnds[threadOf[c.ID]]; pe > key {
-					key = pe
+		if int(u) < baseSpan {
+			for _, c := range fv.children(u) {
+				if baseLive(u, c) {
+					relax(c)
 				}
-				h = heapPush(h, heapEntry{key, taskPrio(c), c})
 			}
 		}
-		if u.ID < baseSpan {
-			fromRemoved := remOut[u.ID]
-			for _, c := range u.children {
-				if maskRemoved[c.ID] {
-					continue
-				}
-				if fromRemoved && !p.edgeLive(u.ID, c.ID) {
-					continue
-				}
-				relax(c)
-			}
-		}
-		for _, pe := range outEdges[u.ID] {
+		for _, pe := range outEdges[u] {
 			if !maskRemoved[pe.to.ID] {
-				relax(pe.to)
+				relax(int32(pe.to.ID))
 			}
 		}
 	}
 	scratch.heap = h[:0]
-	for i, end := range tEnds {
-		if end >= 0 {
-			res.ThreadEnd[p.threadIDs[i]] = end
-		}
-	}
 	if live := p.NumTasks(); executed != live {
 		var blocked []*Task
-		for id, t := range g.tasks {
-			if t != nil && !maskRemoved[id] && ref[id] > 0 {
-				blocked = append(blocked, t)
-			}
-		}
-		for i, t := range p.added {
-			if id := baseSpan + i; !maskRemoved[id] && ref[id] > 0 {
+		for id := 0; id < n; id++ {
+			if t := p.taskAt(id); t != nil && !maskRemoved[id] && ref[id] > 0 {
 				blocked = append(blocked, t)
 			}
 		}
 		return nil, newStallError(executed, live, blocked)
 	}
+	for i, end := range tEnds {
+		if end != untouched {
+			res.ThreadEnd[p.threadIDs[i]] = end
+		}
+	}
 	return res, nil
+}
+
+// taskAt returns the task with effective ID id — baseline or appendix —
+// regardless of the removal mask (nil for a baseline hole).
+func (p *Patch) taskAt(id int) *Task {
+	if i := id - len(p.base.tasks); i >= 0 {
+		return p.added[i]
+	}
+	return p.base.tasks[id]
 }
 
 // PredictIteration simulates the patched baseline and returns the

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync"
 	"time"
 )
 
@@ -281,17 +283,24 @@ func newResult(buf *SimResult, n, threads int) *SimResult {
 // per-simulation allocation — the property the sweep worker pool relies
 // on. A scratch must not be shared by concurrent simulations.
 type SimScratch struct {
-	ref        []int
+	ref        []int32
 	earliest   []time.Duration
 	heap       []heapEntry
 	frontier   []*Task
-	prio       []int           // effective priorities for overlay simulations
-	threadEnds []time.Duration // per-thread-ordinal progress for overlay simulations
-	// effDur and effGap hold the effective timings of a *windowed*
-	// overlay/patch simulation: transient loop state, so the retained
-	// result stays O(window) while timing reads stay O(1).
+	prio       []int           // per-ID priorities the heap tie-breaks on
+	threadEnds []time.Duration // per-thread-ordinal progress
+	// effDur and effGap hold per-ID timings the retained result does
+	// not carry: a plain Graph simulation's (read from the tasks) and
+	// a *windowed* overlay/patch simulation's (so the retained result
+	// stays O(window) while timing reads stay O(1)).
 	effDur, effGap []time.Duration
 }
+
+// scratchPool recycles the working sets of simulations not handed one
+// through WithScratch, so a one-shot Simulate allocates its result
+// rather than O(tasks) bookkeeping. A borrowed scratch is returned when
+// the call ends: nothing a SimResult retains points into it.
+var scratchPool = sync.Pool{New: func() any { return new(SimScratch) }}
 
 // NewSimScratch returns an empty scratch, ready for WithScratch.
 func NewSimScratch() *SimScratch { return &SimScratch{} }
@@ -299,7 +308,7 @@ func NewSimScratch() *SimScratch { return &SimScratch{} }
 // ensure sizes the arrays for an ID span of n.
 func (s *SimScratch) ensure(n int) {
 	if cap(s.ref) < n {
-		s.ref = make([]int, n)
+		s.ref = make([]int32, n)
 		s.earliest = make([]time.Duration, n)
 	}
 	s.ref = s.ref[:n]
@@ -308,18 +317,19 @@ func (s *SimScratch) ensure(n int) {
 	s.frontier = s.frontier[:0]
 }
 
-// heapEntry is one frontier task with the effective-start key it was
+// heapEntry is one frontier task ID with the effective-start key it was
 // inserted (or re-inserted) with. Keys only grow as the simulation
 // progresses, so a popped entry whose key is stale is re-pushed with its
 // current effective start (lazy update); an entry whose key is current is
 // the true minimum under the (start, -priority, ID) order — exactly the
 // task EarliestStart's linear scan would have picked. The entry carries
-// the effective priority so overlay simulations can tie-break on
-// overlaid priorities without touching the shared baseline tasks.
+// the effective priority so overlay and patch simulations tie-break on
+// overlaid priorities without touching the shared baseline tasks, and
+// the comparison never dereferences a task.
 type heapEntry struct {
 	key  time.Duration
 	prio int
-	t    *Task
+	id   int32
 }
 
 func heapLess(a, b heapEntry) bool {
@@ -329,7 +339,7 @@ func heapLess(a, b heapEntry) bool {
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
-	return a.t.ID < b.t.ID
+	return a.id < b.id
 }
 
 func heapPush(h []heapEntry, e heapEntry) []heapEntry {
@@ -483,8 +493,10 @@ func SchedulerOf(opts ...SimOption) Scheduler {
 // propagating earliest-start times along dependency edges.
 //
 // Under the default earliest-start policy the frontier is a binary heap
-// with lazily updated keys; a custom Scheduler sees the frontier as a
-// plain slice, preserving the overridable schedule() contract.
+// of task IDs with lazily updated keys, run over the graph's memoized
+// flat view — the same loop Overlay.Simulate runs. A custom Scheduler
+// sees the frontier as a plain slice, preserving the overridable
+// schedule() contract.
 func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
 	o := simOptions{}
 	for _, fn := range opts {
@@ -495,7 +507,8 @@ func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
 	}
 	scratch := o.scratch
 	if scratch == nil {
-		scratch = &SimScratch{}
+		scratch = scratchPool.Get().(*SimScratch)
+		defer scratchPool.Put(scratch)
 	}
 	n := len(g.tasks)
 	scratch.ensure(n)
@@ -515,43 +528,70 @@ func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
 	if s := customScheduler(o.scheduler); s != nil {
 		return simulateScheduled(g, s, scratch, res, o.ctx)
 	}
-	ref, earliest := scratch.ref, scratch.earliest
+	// The kernel reads timings from flat per-ID arrays; a plain graph's
+	// live in its tasks, so they are gathered into scratch (the result
+	// keeps empty effective timings, the Task fields being
+	// authoritative).
+	scratch.effDur = growDurations(scratch.effDur, n)
+	scratch.effGap = growDurations(scratch.effGap, n)
+	scratch.prio = growInts(scratch.prio, n)
+	dur, gap, prio := scratch.effDur, scratch.effGap, scratch.prio
 	for id, t := range g.tasks {
-		if t == nil {
-			continue
+		if t != nil {
+			dur[id], gap[id], prio[id] = t.Duration, t.Gap, t.Priority
 		}
-		ref[id] = len(t.parents)
-		earliest[id] = 0
 	}
+	return simulateFlat(g.flat(), g.tasks, g.live, dur, gap, prio, scratch, res, &o)
+}
 
+// untouched marks a thread no task has been dispatched to yet, so the
+// result's ThreadEnd gets exactly one entry per thread that ran.
+const untouched = time.Duration(math.MinInt64)
+
+// simulateFlat is the default-policy Algorithm-1 loop every Graph and
+// Overlay simulation runs: a lazy-key binary heap of task IDs over the
+// flat view fv, with per-ID effective timings in dur, gap and prio.
+// tasks is the ID-indexed task table (read only to record a windowed
+// result and to report a stall) and live its non-nil count. The caller
+// has run the entry cancellation check, sized scratch for len(tasks)
+// and built res (with its window, if any).
+func simulateFlat(fv *flatView, tasks []*Task, live int, dur, gap []time.Duration, prio []int, scratch *SimScratch, res *SimResult, o *simOptions) (*SimResult, error) {
+	ref, earliest := scratch.ref, scratch.earliest
+	copy(ref, fv.indeg)
+	clear(earliest)
+	threadOf := fv.threadOf
+	tEnds := growDurations(scratch.threadEnds, len(fv.threadIDs))
+	scratch.threadEnds = tEnds
+	for i := range tEnds {
+		tEnds[i] = untouched
+	}
 	h := scratch.heap
-	for _, t := range g.tasks {
-		if t != nil && len(t.parents) == 0 {
-			h = heapPush(h, heapEntry{0, t.Priority, t})
-		}
+	for _, id := range fv.roots {
+		h = heapPush(h, heapEntry{0, prio[id], id})
 	}
 	executed := 0
 	for len(h) > 0 {
 		var e heapEntry
 		e, h = heapPop(h)
-		u := e.t
-		start := earliest[u.ID]
-		if p := res.ThreadEnd[u.Thread]; p > start {
+		u := e.id
+		ti := threadOf[u]
+		start := earliest[u]
+		if p := tEnds[ti]; p > start {
 			start = p
 		}
 		if start > e.key {
 			// Stale key: thread progress moved past the insertion-time
 			// estimate. Re-insert with the current effective start.
-			h = heapPush(h, heapEntry{start, u.Priority, u})
+			h = heapPush(h, heapEntry{start, e.prio, u})
 			continue
 		}
-		end := start + u.Duration + u.Gap
+		end := start + dur[u] + gap[u]
 		if res.win == nil {
-			res.Start[u.ID] = start
+			res.Start[u] = start
 		} else {
-			res.win.record(u, start, u.Duration, u.Gap)
+			res.win.record(tasks[u], start, dur[u], gap[u])
 		}
-		res.ThreadEnd[u.Thread] = end
+		tEnds[ti] = end
 		if end > res.Makespan {
 			res.Makespan = end
 		}
@@ -563,34 +603,39 @@ func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
 			}
 		}
 		if o.execOrder != nil {
-			*o.execOrder = append(*o.execOrder, int32(u.ID))
+			*o.execOrder = append(*o.execOrder, u)
 		}
-		for _, c := range u.children {
-			if end > earliest[c.ID] {
-				earliest[c.ID] = end
+		for _, c := range fv.children(u) {
+			if end > earliest[c] {
+				earliest[c] = end
 			}
-			ref[c.ID]--
-			if ref[c.ID] == 0 {
-				key := earliest[c.ID]
-				if p := res.ThreadEnd[c.Thread]; p > key {
+			ref[c]--
+			if ref[c] == 0 {
+				key := earliest[c]
+				if p := tEnds[threadOf[c]]; p > key {
 					key = p
 				}
-				h = heapPush(h, heapEntry{key, c.Priority, c})
+				h = heapPush(h, heapEntry{key, prio[c], c})
 			}
 		}
 	}
 	scratch.heap = h[:0]
-	if executed != g.live {
+	if executed != live {
 		// Frontier starvation: the effective graph cannot be fully
 		// ordered. Unexecuted tasks are exactly those whose reference
 		// count never reached zero.
 		var blocked []*Task
-		for id, t := range g.tasks {
+		for id, t := range tasks {
 			if t != nil && ref[id] > 0 {
 				blocked = append(blocked, t)
 			}
 		}
-		return nil, newStallError(executed, g.live, blocked)
+		return nil, newStallError(executed, live, blocked)
+	}
+	for i, end := range tEnds {
+		if end != untouched {
+			res.ThreadEnd[fv.threadIDs[i]] = end
+		}
 	}
 	return res, nil
 }

@@ -139,9 +139,10 @@ type Task struct {
 	// Round is the iteration replica index after Graph.Repeat.
 	Round int
 
-	// Adjacency is stored CSR-style on the task itself: children and
-	// childKinds are parallel slices, so the graph needs no edge map and
-	// Clone can rebuild all adjacency from two shared backing arrays.
+	// Adjacency is stored on the task itself: children and childKinds
+	// are parallel slices, so the graph needs no edge map and Clone can
+	// rebuild all adjacency from shared backing arrays. Simulation reads
+	// the graph's memoized int32 CSR view instead (see flat.go).
 	parents    []*Task
 	children   []*Task
 	childKinds []DepKind
